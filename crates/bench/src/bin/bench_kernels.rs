@@ -594,9 +594,8 @@ fn main() {
     });
     r.bench("macro_mvm_batch_32x64", || group.mvm_batch(op, &xs).unwrap());
 
-    // ── per-plane parallelism: a bit-sliced INT8 operator (4 planes)
-    //    driven through the row-batched MVM with the plane fan-out capped
-    //    to one thread (the pre-parallel rung) vs uncapped.
+    // ── per-plane dispatch: a bit-sliced INT8 operator (4 planes) driven
+    //    through the row-batched MVM on one thread.
     let cfg_bits =
         MacroConfig { nonideal: NonidealityConfig::quantization_only(4), ..MacroConfig::small(64) };
     let mut group_bits = MacroGroup::new(4, cfg_bits, 17);
@@ -607,7 +606,6 @@ fn main() {
             group_bits.mvm_batch_rows(op_bits, &xmat).unwrap()
         })
     });
-    r.bench("macro_planes_parallel_32x64", || group_bits.mvm_batch_rows(op_bits, &xmat).unwrap());
 
     // ── LeNet-5 inference: per-image drive assembly vs the fused
     //    streaming path that im2cols the whole batch into reused scratch.
@@ -688,8 +686,6 @@ fn main() {
     let matmul_speedup = r.mean_ms("matmul_naive_512") / r.mean_ms("matmul_512");
     let packed_speedup = r.mean_ms("matmul_unpacked_512") / r.mean_ms("matmul_512");
     let lu_factor_speedup = r.mean_ms("lu_factor_serial_512") / r.mean_ms("lu_factor_512");
-    let planes_speedup =
-        r.mean_ms("macro_planes_serial_32x64") / r.mean_ms("macro_planes_parallel_32x64");
     let lenet_speedup = r.mean_ms("lenet_per_image_16") / r.mean_ms("lenet_stream_16");
     let batch_speedup = uncached_per_mvm / batched_per_mvm;
     let sharded_speedup_4v1 =
@@ -700,7 +696,6 @@ fn main() {
          {packed_speedup:.2}x the unpacked blocked kernel"
     );
     println!("lu factor 512: blocked is {lu_factor_speedup:.2}x the serial right-looking rung");
-    println!("macro planes: parallel fan-out is {planes_speedup:.2}x the serial rung");
     println!("lenet 16 images: streaming is {lenet_speedup:.2}x the per-image rung");
     println!(
         "batched MVM 128: {batch_speedup:.1}x the per-call reconstruction path \
@@ -748,7 +743,6 @@ fn main() {
         ("matmul_512_speedup_vs_naive", format!("{matmul_speedup:.3}")),
         ("matmul_512_speedup_vs_unpacked", format!("{packed_speedup:.3}")),
         ("lu_factor_512_speedup_vs_serial", format!("{lu_factor_speedup:.3}")),
-        ("macro_planes_speedup_vs_serial", format!("{planes_speedup:.3}")),
         ("lenet_stream_speedup_vs_per_image", format!("{lenet_speedup:.3}")),
         ("batched_mvm_128_speedup_vs_uncached", format!("{batch_speedup:.3}")),
         ("runtime_sharded_mvm_speedup_4_shards_vs_1", format!("{sharded_speedup_4v1:.3}")),

@@ -696,10 +696,11 @@ impl MacroGroup {
     /// directly (no per-vector `Vec`s on either side); the slice-based
     /// `mvm_batch` is a thin wrapper around it.
     ///
-    /// The per-plane products run through [`parallel::map_collect`], one
-    /// scoped thread per plane, each plane's `matmul` capped to its share of
-    /// the thread budget — plane results are combined in plane order, so the
-    /// output does not depend on the thread count.
+    /// The per-plane products run in plane order on the calling thread, so
+    /// a small serving batch spawns no thread at all; a large batch still
+    /// splits its rows across threads inside each plane's `matmul`. Every
+    /// product is deterministic and the planes are combined in plane order,
+    /// so the output does not depend on the thread count.
     ///
     /// # Errors
     ///
@@ -765,11 +766,9 @@ impl MacroGroup {
             self.telemetry.add_read_cycles_mvm(driven * (nplanes * rows * cols) as u64);
             self.telemetry.add_adc_conversions(driven * (rows * (nplanes / 2)) as u64);
         }
-        // Plane drives are independent analog events: fan them out over
-        // scoped threads (serial and in order when the feature is off or
-        // only one core is available — same results either way).
-        let currents: Vec<Matrix> =
-            gramc_linalg::parallel::map_collect(&gs_t, |g_t| v_mat.matmul(g_t));
+        // The planes settle in one analog step; digitally each is one
+        // product, threaded over row blocks only when the batch is large.
+        let currents: Vec<Matrix> = gs_t.iter().map(|g_t| v_mat.matmul(g_t)).collect();
         let mut out = Matrix::zeros(bsz, rows);
         for (b, &x_max) in x_maxes.iter().enumerate() {
             if x_max == 0.0 {
@@ -1776,34 +1775,51 @@ mod tests {
     #[test]
     fn mvm_batch_rows_matches_vec_batch_and_is_thread_count_invariant() {
         // The Matrix-batch entry point is the implementation the Vec-batch
-        // wrapper delegates to, and its per-plane map_collect fan-out must
-        // not change results with the thread budget — including on a
-        // 4-plane bit-sliced operator where the plane loop actually fans
-        // out. Noise-free config keeps every call deterministic; bit
+        // wrapper delegates to, and the thread budget must not change its
+        // results. The planes run in order on the calling thread, so the
+        // only threading left is the row-block split inside each plane's
+        // packed matmul: the 70×16 batches span three 32-row blocks and
+        // split across threads at the default budget, the 5×6 batch does
+        // not. Covered on 4-plane bit-sliced and 2-plane differential
+        // operators. Noise-free config keeps every call deterministic; bit
         // slicing needs 4-bit cells, so use the quantization-only config.
-        let cfg = MacroConfig {
-            nonideal: NonidealityConfig::quantization_only(4),
-            ..MacroConfig::small(6)
-        };
-        let mut g = MacroGroup::new(4, cfg, 91);
-        let mut rng = seeded_rng(92);
-        let a = random::gaussian_matrix(&mut rng, 6, 6);
-        let op = g.load_matrix_bitsliced(&a).unwrap();
-        let xs: Vec<Vec<f64>> = (0..5).map(|_| random::normal_vector(&mut rng, 6)).collect();
-        let mut m = Matrix::zeros(5, 6);
-        for (b, x) in xs.iter().enumerate() {
-            m.row_mut(b).copy_from_slice(x);
-        }
-        let via_vecs = g.mvm_batch(op, &xs).unwrap();
-        let via_rows = g.mvm_batch_rows(op, &m).unwrap();
-        let serial_planes =
-            gramc_linalg::parallel::with_thread_cap(1, || g.mvm_batch_rows(op, &m)).unwrap();
-        for (b, y) in via_vecs.iter().enumerate() {
-            for (j, v) in y.iter().enumerate() {
-                assert_eq!(v.to_bits(), via_rows[(b, j)].to_bits());
-                assert_eq!(v.to_bits(), serial_planes[(b, j)].to_bits());
+        fn check(g: &mut MacroGroup, op: OperatorId, rng: &mut StdRng, bsz: usize) {
+            let cols = g.operator_info(op).unwrap().cols;
+            let xs: Vec<Vec<f64>> = (0..bsz).map(|_| random::normal_vector(rng, cols)).collect();
+            let mut m = Matrix::zeros(bsz, cols);
+            for (b, x) in xs.iter().enumerate() {
+                m.row_mut(b).copy_from_slice(x);
+            }
+            let via_vecs = g.mvm_batch(op, &xs).unwrap();
+            let via_rows = g.mvm_batch_rows(op, &m).unwrap();
+            let serial =
+                gramc_linalg::parallel::with_thread_cap(1, || g.mvm_batch_rows(op, &m)).unwrap();
+            for (b, y) in via_vecs.iter().enumerate() {
+                for (j, v) in y.iter().enumerate() {
+                    assert_eq!(v.to_bits(), via_rows[(b, j)].to_bits());
+                    assert_eq!(v.to_bits(), serial[(b, j)].to_bits());
+                }
             }
         }
+        let cfg = |n| MacroConfig {
+            nonideal: NonidealityConfig::quantization_only(4),
+            ..MacroConfig::small(n)
+        };
+        let mut rng = seeded_rng(92);
+        let mut g = MacroGroup::new(4, cfg(6), 91);
+        let a = random::gaussian_matrix(&mut rng, 6, 6);
+        let op = g.load_matrix_bitsliced(&a).unwrap();
+        check(&mut g, op, &mut rng, 5);
+
+        let mut g = MacroGroup::new(4, cfg(16), 93);
+        let a = random::gaussian_matrix(&mut rng, 16, 16);
+        let bits = g.load_matrix_bitsliced(&a).unwrap();
+        assert_eq!(g.operator_info(bits).unwrap().planes, 4);
+        check(&mut g, bits, &mut rng, 70);
+        g.free_operator(bits).unwrap();
+        let diff = g.load_matrix(&a).unwrap();
+        assert_eq!(g.operator_info(diff).unwrap().planes, 2);
+        check(&mut g, diff, &mut rng, 70);
     }
 
     #[test]

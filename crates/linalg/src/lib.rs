@@ -37,10 +37,11 @@
 //!    the [`parallel`] helpers; column ownership makes every f64 touched
 //!    by exactly one thread, so the factors match the serial oracle
 //!    ([`LuDecomposition::new_unblocked`]) bitwise at any thread count.
-//! 3. **Plane-parallel analog dispatch** (`gramc-core`): the per-plane
-//!    drive-matrix products of a bit-sliced operator run through
-//!    [`parallel::map_collect`], which preserves output order — thread
-//!    count cannot change results.
+//! 3. **One-step analog dispatch** (`gramc-core`): the per-plane
+//!    drive-matrix products of an operator run in plane order on the
+//!    calling thread, so a small serving batch spawns no thread; a large
+//!    batch keeps rung 1's row-block split inside each product. Planes
+//!    are combined in order, so thread count cannot change results.
 //! 4. **Fused streaming inference** (`gramc-nn`): im2col writes straight
 //!    into reusable whole-batch drive matrices; bias + ReLU + pooling fuse
 //!    into the decode pass. Zero per-image heap allocation at steady

@@ -325,7 +325,7 @@ impl LuDecomposition {
         if m == 0 {
             return Ok(Matrix::zeros(n, 0));
         }
-        let threads = crate::parallel::max_threads();
+        let threads = crate::parallel::current_max_threads();
         if cfg!(feature = "parallel") && threads > 1 && m >= 2 * PAR_SOLVE_MIN_COLS {
             // Column blocks are independent systems: extract, solve each
             // block in place on its own thread, reassemble. The per-block

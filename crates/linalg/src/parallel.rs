@@ -53,11 +53,9 @@ pub fn current_max_threads() -> usize {
 /// Runs `f` with kernels launched from this thread capped at `cap` worker
 /// threads (on top of the process-wide [`max_threads`]).
 ///
-/// Two users: benches measure the serial behavior of a parallel kernel in the
-/// same process (`with_thread_cap(1, …)`), and nested parallelism — e.g. a
-/// plane-level [`map_collect`] whose items each call a threaded `matmul` —
-/// divides the budget between levels instead of oversubscribing the host.
-/// The cap is thread-local and restored on exit (including on panic).
+/// Benches and tests use it to measure or pin the serial behavior of a
+/// parallel kernel in the same process (`with_thread_cap(1, …)`). The cap
+/// is thread-local and restored on exit (including on panic).
 pub fn with_thread_cap<R>(cap: usize, f: impl FnOnce() -> R) -> R {
     struct Restore(usize);
     impl Drop for Restore {
@@ -69,56 +67,6 @@ pub fn with_thread_cap<R>(cap: usize, f: impl FnOnce() -> R) -> R {
     let _restore = Restore(prev);
     THREAD_CAP.with(|c| c.set(cap.max(1).min(prev)));
     f()
-}
-
-/// Maps `f` over `items` on scoped threads, returning results in input order.
-///
-/// Each worker handles one item and runs under a [`with_thread_cap`] scope
-/// dividing the current budget across items, so an `f` that itself calls
-/// threaded kernels does not oversubscribe the host. Serial (in-order) when
-/// the feature is off, the budget is 1, or there are fewer than two items —
-/// so, as with [`for_each_chunk_mut`], results are identical either way as
-/// long as `f` is deterministic per item.
-pub fn map_collect<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let threads = threads_for(items.len());
-    if threads <= 1 || items.len() < 2 {
-        return items.iter().map(f).collect();
-    }
-    map_collect_parallel(items, &f)
-}
-
-#[cfg(feature = "parallel")]
-fn map_collect_parallel<T, R, F>(items: &[T], f: &F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let inner_cap = current_max_threads().div_ceil(items.len()).max(1);
-    let mut out: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        for (slot, item) in out.iter_mut().zip(items) {
-            scope.spawn(move || {
-                *slot = Some(with_thread_cap(inner_cap, || f(item)));
-            });
-        }
-    });
-    out.into_iter().map(|r| r.expect("map_collect worker filled its slot")).collect()
-}
-
-#[cfg(not(feature = "parallel"))]
-fn map_collect_parallel<T, R, F>(items: &[T], f: &F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    items.iter().map(f).collect()
 }
 
 /// Runs `f(start_index, chunk)` over `chunk_len`-sized disjoint chunks of
@@ -251,22 +199,5 @@ mod tests {
             with_thread_cap(8, || assert_eq!(current_max_threads(), 1));
         });
         assert_eq!(current_max_threads(), before);
-    }
-
-    #[test]
-    fn map_collect_preserves_input_order() {
-        let items: Vec<usize> = (0..23).collect();
-        let out = map_collect(&items, |&i| i * i);
-        assert_eq!(out, items.iter().map(|&i| i * i).collect::<Vec<_>>());
-        let empty: Vec<usize> = Vec::new();
-        assert!(map_collect(&empty, |&i: &usize| i).is_empty());
-    }
-
-    #[test]
-    fn map_collect_matches_serial_under_cap() {
-        let items: Vec<f64> = (0..7).map(|i| i as f64 * 0.3).collect();
-        let par = map_collect(&items, |x| x.sin());
-        let ser = with_thread_cap(1, || map_collect(&items, |x| x.sin()));
-        assert_eq!(par, ser);
     }
 }

@@ -8,7 +8,7 @@
 //! batch size must not change the number of allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::cell::Cell;
 
 use gramc_core::{MacroConfig, NonidealityConfig};
 use gramc_linalg::random::seeded_rng;
@@ -16,14 +16,23 @@ use gramc_nn::{GramcLenet, LeNet5, Precision, Tensor3};
 
 struct CountingAlloc;
 
-static COUNTING: AtomicBool = AtomicBool::new(false);
-static ALLOCS: AtomicUsize = AtomicUsize::new(0);
+// Armed and counted per thread: the test harness runs tests concurrently,
+// and a process-wide counter would charge each test the other's
+// allocations.
+std::thread_local! {
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+    static ALLOCS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count_alloc() {
+    if COUNTING.try_with(Cell::get).unwrap_or(false) {
+        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    }
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count_alloc();
         unsafe { System.alloc(layout) }
     }
 
@@ -32,9 +41,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count_alloc();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -42,12 +49,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Runs `f` and returns the heap allocations it made on this thread.
 fn counted<T>(f: impl FnOnce() -> T) -> (T, usize) {
-    ALLOCS.store(0, Ordering::SeqCst);
-    COUNTING.store(true, Ordering::SeqCst);
+    ALLOCS.with(|n| n.set(0));
+    COUNTING.with(|c| c.set(true));
     let out = f();
-    COUNTING.store(false, Ordering::SeqCst);
-    (out, ALLOCS.load(Ordering::SeqCst))
+    COUNTING.with(|c| c.set(false));
+    (out, ALLOCS.with(Cell::get))
 }
 
 fn random_images(n: usize, seed: u64) -> Vec<Tensor3> {
@@ -76,8 +84,7 @@ fn streamed_allocation_count_does_not_scale_with_batch_size() {
     backend.logits_matrix(&images).unwrap();
     backend.logits_matrix(&images[..4]).unwrap();
 
-    // Serial thread budget keeps the parallel fan-out from spawning (and
-    // allocating for) worker threads on multi-core machines.
+    // Serial thread budget keeps all the work on this (counted) thread.
     let ((), c4) = counted(|| {
         gramc_linalg::parallel::with_thread_cap(1, || {
             backend.logits_matrix(&images[..4]).unwrap();
