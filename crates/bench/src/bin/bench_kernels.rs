@@ -239,7 +239,7 @@ fn serving_observatory(
     samples: &mut Vec<Sample>,
     meta: &mut Vec<(String, String)>,
 ) -> f64 {
-    use gramc_runtime::{MetricsReporter, RuntimeServer, SloConfig, SloMonitor, TenantId};
+    use gramc_runtime::{MetricsReporter, RuntimeServer, SloConfig, SloMonitor, TenantId, Work};
     use std::sync::Arc;
     use std::time::Duration;
 
@@ -312,7 +312,7 @@ fn serving_observatory(
     // stream a non-trivial tenant table.
     let burst: Vec<_> = (0..64)
         .map(|k| {
-            rt.submit_mvm_for(TenantId(1 + (k % 2) as u32), op, x.clone())
+            rt.submit_for(TenantId(1 + (k % 2) as u32), op, Work::Mvm(x.clone()))
                 .expect("burst submission")
         })
         .collect();

@@ -22,7 +22,7 @@ use gramc_array::{
     ActiveRegion, ArrayConfig, ConductanceMapper, CrossbarArray, LevelMatrix, MappedMatrix,
     ProgramOutcome, SignedEncoding, WriteVerifyController,
 };
-use gramc_circuit::{dc_solve, topology, DcOperator, OpampModel};
+use gramc_circuit::{dc_solve, topology, Circuit, DcOperator, OpampModel};
 use gramc_device::{CellNoise, LevelQuantizer};
 #[cfg(feature = "fault-inject")]
 use gramc_device::{FaultConfig, FaultPlan};
@@ -36,6 +36,7 @@ use crate::converter::{Adc, Dac};
 use crate::error::CoreError;
 use crate::nonideal::{NonidealityConfig, ProgrammingMode};
 use crate::registers::{MacroMode, RegisterArray};
+use crate::tiling::TileMapping;
 
 /// Geometry and interface parameters of a macro.
 #[derive(Debug, Clone, PartialEq)]
@@ -529,6 +530,25 @@ impl MacroGroup {
         Ok(OperatorId(op_index))
     }
 
+    /// Loads a signed matrix under `mapping`: [`load_matrix`](Self::load_matrix)
+    /// for [`TileMapping::FourBit`],
+    /// [`load_matrix_bitsliced`](Self::load_matrix_bitsliced) for
+    /// [`TileMapping::BitSlicedInt8`].
+    ///
+    /// # Errors
+    ///
+    /// Those of the mapping's load.
+    pub fn load_mapped(
+        &mut self,
+        a: &Matrix,
+        mapping: TileMapping,
+    ) -> Result<OperatorId, CoreError> {
+        match mapping {
+            TileMapping::FourBit => self.load_matrix(a),
+            TileMapping::BitSlicedInt8 => self.load_matrix_bitsliced(a),
+        }
+    }
+
     fn operator(&self, id: OperatorId) -> Result<&Operator, CoreError> {
         let op = self.operators.get(id.0).ok_or(CoreError::InvalidOperator)?;
         if op.freed {
@@ -575,6 +595,27 @@ impl MacroGroup {
 
     fn opamp_model(&self) -> OpampModel {
         OpampModel { gain: self.config.nonideal.opamp_gain, ..OpampModel::default() }
+    }
+
+    /// One noisy conductance read of a differential operator's plane pair,
+    /// as `(G⁺, G⁻)`.
+    fn read_pair(&mut self, planes: &[PlaneRef]) -> Result<(Matrix, Matrix), CoreError> {
+        let mut read = |p: &PlaneRef| {
+            self.macros[p.macro_id]
+                .array
+                .conductances(p.region, &mut self.rng)
+                .map_err(CoreError::from)
+        };
+        Ok((read(&planes[0])?, read(&planes[1])?))
+    }
+
+    /// Applies the input offsets of macro `macro_id`'s op-amps to a netlist
+    /// built on it.
+    fn apply_opamp_offsets(&self, circuit: &mut Circuit, macro_id: usize) {
+        for (k, opamp) in circuit.opamp_ids().into_iter().enumerate() {
+            let model = circuit.opamp_model(opamp);
+            circuit.set_opamp_model(opamp, model.offset(self.macros[macro_id].opamp_offset(k)));
+        }
     }
 
     /// Conversion factor: matrix units of output per (ampere / volt-scale).
@@ -834,11 +875,7 @@ impl MacroGroup {
         let model = self.opamp_model();
         let mut topo =
             topology::build_mvm(&g_pos, &g_neg, &v, g_f, model).map_err(CoreError::from)?;
-        for (k, opamp) in topo.circuit.opamp_ids().into_iter().enumerate() {
-            let m = topo.circuit.opamp_model(opamp);
-            let off = self.macros[planes[0].macro_id].opamp_offset(k);
-            topo.circuit.set_opamp_model(opamp, m.offset(off));
-        }
+        self.apply_opamp_offsets(&mut topo.circuit, planes[0].macro_id);
         let sol = dc_solve(&topo.circuit).map_err(CoreError::from)?;
         let conv = self.current_decode(scale, v_scale);
         Ok(sol.voltages(&topo.outputs).iter().map(|v_out| -v_out * g_f * conv).collect())
@@ -882,230 +919,19 @@ impl MacroGroup {
         id: OperatorId,
         bs: &[Vec<f64>],
     ) -> Result<Vec<Vec<f64>>, CoreError> {
-        let op = self.operator(id)?;
-        if op.info.rows != op.info.cols {
-            return Err(CoreError::InvalidArgument("INV requires a square operator"));
-        }
-        if op.info.planes != 2 {
-            return Err(CoreError::InvalidArgument("INV requires a differential operator"));
-        }
-        let n = op.info.rows;
-        for b in bs {
-            if b.len() != n {
-                return Err(CoreError::ShapeMismatch { expected: n, found: b.len() });
-            }
-        }
-        if bs.is_empty() {
-            return Ok(Vec::new());
-        }
-        let (scale, planes) = (op.info.scale, op.planes.clone());
-        self.configure_operator(id, MacroMode::Inv)?;
-
-        let dac = self.macros[planes[0].macro_id].dac;
-        let adc = self.macros[planes[0].macro_id].adc;
-        let c = self.quantizer.step() / scale;
-
-        // Per-column injection state: quantized b, its norm and the current
-        // ranging scale α (volts of output per matrix unit of x). Scanned
-        // before the conductance read so an all-zero batch — including
-        // every zero-b `solve_inv` call — short-circuits without touching
-        // the arrays or the RNG (matching `solve_pinv` and the zero-input
-        // `mvm` path).
-        let mut quantized: Vec<Vec<f64>> = Vec::with_capacity(bs.len());
-        let mut b_maxes = Vec::with_capacity(bs.len());
-        let mut alphas = Vec::with_capacity(bs.len());
-        let mut xs: Vec<Option<Vec<f64>>> = vec![None; bs.len()];
-        let mut active: Vec<usize> = Vec::new();
-        for (ci, b) in bs.iter().enumerate() {
-            let b_max = vector::norm_inf(b);
-            if b_max == 0.0 {
-                xs[ci] = Some(vec![0.0; n]);
-                quantized.push(Vec::new());
-                b_maxes.push(0.0);
-                alphas.push(0.0);
-                continue;
-            }
-            quantized
-                .push(b.iter().map(|&bi| dac.convert(bi / b_max) / self.config.v_read).collect());
-            b_maxes.push(b_max);
-            alphas.push(self.config.v_read / b_max);
-            active.push(ci);
-        }
-        if active.is_empty() {
-            return Ok(xs.into_iter().map(|x| x.expect("all columns zero")).collect());
-        }
-        // One DAC drive per element of every active injection column.
-        #[cfg(feature = "telemetry")]
-        self.telemetry.add_dac_drives((active.len() * n) as u64);
-
-        // One noisy conductance read shared by the whole batch (the
-        // mvm_batch contract: the array state cannot change mid-batch).
-        let g_pos = self.macros[planes[0].macro_id]
-            .array
-            .conductances(planes[0].region, &mut self.rng)
-            .map_err(CoreError::from)?;
-        let g_neg = self.macros[planes[1].macro_id]
-            .array
-            .conductances(planes[1].region, &mut self.rng)
-            .map_err(CoreError::from)?;
-        let model = self.opamp_model();
-
-        let zeros = vec![0.0; n];
-        let mut topo =
-            topology::build_inv(&g_pos, &g_neg, &zeros, model).map_err(CoreError::from)?;
-        for (k, opamp) in topo.circuit.opamp_ids().into_iter().enumerate() {
-            let m = topo.circuit.opamp_model(opamp);
-            let off = self.macros[planes[0].macro_id].opamp_offset(k);
-            topo.circuit.set_opamp_model(opamp, m.offset(off));
-        }
-        let dc_op = DcOperator::new(&topo.circuit).map_err(CoreError::from)?;
-
-        // Ranged multi-RHS substitution: all still-railing columns stack
-        // into one RHS matrix and substitute through the shared LU factors.
-        for _attempt in 0..8 {
-            if active.is_empty() {
-                break;
-            }
-            // Every ranging attempt settles the feedback loop once per
-            // still-active column, biasing both planes of the region.
-            #[cfg(feature = "telemetry")]
-            {
-                self.telemetry.add_solve_settles(active.len() as u64);
-                self.telemetry.add_read_cycles_solve((active.len() * 2 * n * n) as u64);
-            }
-            let mut rhs = Matrix::zeros(dc_op.dim(), active.len());
-            for (k, &ci) in active.iter().enumerate() {
-                for (&src, &qb) in topo.input_sources.iter().zip(&quantized[ci]) {
-                    topo.circuit.set_current(src, -c * alphas[ci] * b_maxes[ci] * qb);
-                }
-                let col = dc_op.rhs(&topo.circuit).map_err(CoreError::from)?;
-                for (i, v) in col.iter().enumerate() {
-                    rhs[(i, k)] = *v;
-                }
-            }
-            let sol = dc_op.solve_rhs_matrix(&rhs).map_err(CoreError::from)?;
-            let mut railed = Vec::new();
-            for (k, &ci) in active.iter().enumerate() {
-                // Raw MNA columns: node voltages occupy the leading rows,
-                // ground (index 0) is implicit.
-                let volts: Vec<f64> = topo
-                    .x_nodes
-                    .iter()
-                    .map(|node| match node.index() {
-                        0 => 0.0,
-                        i => sol[(i - 1, k)],
-                    })
-                    .collect();
-                let peak = volts.iter().fold(0.0_f64, |m, v| m.max(v.abs()));
-                if peak > 0.95 * adc.v_ref() {
-                    alphas[ci] *= 0.5;
-                    railed.push(ci);
-                } else {
-                    #[cfg(feature = "telemetry")]
-                    self.telemetry.add_adc_conversions(n as u64);
-                    xs[ci] = Some(
-                        volts
-                            .iter()
-                            .map(|&vx| adc.convert(vx) * adc.v_ref() / alphas[ci])
-                            .collect(),
-                    );
-                }
-            }
-            active = railed;
-        }
-        if !active.is_empty() {
-            return Err(CoreError::InvalidArgument(
-                "INV output railed the ADC at every ranging attempt",
-            ));
-        }
-        let out: Vec<Vec<f64>> =
-            xs.into_iter().map(|x| x.expect("every column solved or error returned")).collect();
-        self.macros[planes[0].macro_id].output_buffer = out.last().cloned().unwrap_or_default();
-        Ok(out)
+        self.solve_ranged(id, bs, MacroMode::Inv)
     }
 
-    /// One-step least-squares solve `x = A⁺·b` on the PINV configuration.
+    /// One-step least-squares solve `x = A⁺·b` on the PINV configuration —
+    /// the single-RHS form of [`solve_pinv_batch`](Self::solve_pinv_batch).
     ///
     /// # Errors
     ///
-    /// Shape/handle errors; [`CoreError::Circuit`] on singular netlists.
+    /// Shape/handle errors; [`CoreError::Circuit`] on singular netlists;
+    /// [`CoreError::InvalidArgument`] for bit-sliced operators.
     pub fn solve_pinv(&mut self, id: OperatorId, b: &[f64]) -> Result<Vec<f64>, CoreError> {
-        let op = self.operator(id)?;
-        if op.info.planes != 2 {
-            return Err(CoreError::InvalidArgument("PINV requires a differential operator"));
-        }
-        if b.len() != op.info.rows {
-            return Err(CoreError::ShapeMismatch { expected: op.info.rows, found: b.len() });
-        }
-        let (scale, cols, planes) = (op.info.scale, op.info.cols, op.planes.clone());
-        self.configure_operator(id, MacroMode::Pinv)?;
-
-        let b_max = vector::norm_inf(b);
-        if b_max == 0.0 {
-            return Ok(vec![0.0; cols]);
-        }
-        let dac = self.macros[planes[0].macro_id].dac;
-        let adc = self.macros[planes[0].macro_id].adc;
-        let c = self.quantizer.step() / scale;
-
-        let g_pos = self.macros[planes[0].macro_id]
-            .array
-            .conductances(planes[0].region, &mut self.rng)
-            .map_err(CoreError::from)?;
-        let g_neg = self.macros[planes[1].macro_id]
-            .array
-            .conductances(planes[1].region, &mut self.rng)
-            .map_err(CoreError::from)?;
-        let g_f = c.clamp(self.quantizer.g_min(), self.quantizer.g_max());
-        let model = self.opamp_model();
-
-        // Auto-ranging exactly as in solve_inv: factor once, re-scale the
-        // injected currents per attempt.
-        let mut alpha = self.config.v_read / b_max;
-        let quantized_b: Vec<f64> =
-            b.iter().map(|&bi| dac.convert(bi / b_max) / self.config.v_read).collect();
-        #[cfg(feature = "telemetry")]
-        self.telemetry.add_dac_drives(b.len() as u64);
-        let i_b: Vec<f64> = quantized_b.iter().map(|&qb| -c * alpha * b_max * qb).collect();
-        let mut topo =
-            topology::build_pinv(&g_pos, &g_neg, &i_b, g_f, model).map_err(CoreError::from)?;
-        for (k, opamp) in topo.circuit.opamp_ids().into_iter().enumerate() {
-            let m = topo.circuit.opamp_model(opamp);
-            let off = self.macros[planes[0].macro_id].opamp_offset(k);
-            topo.circuit.set_opamp_model(opamp, m.offset(off));
-        }
-        let dc_op = DcOperator::new(&topo.circuit).map_err(CoreError::from)?;
-        let mut x = Vec::new();
-        for _attempt in 0..8 {
-            // One feedback-loop settle per ranging attempt, reading both
-            // planes of the full region.
-            #[cfg(feature = "telemetry")]
-            {
-                self.telemetry.add_solve_settles(1);
-                self.telemetry.add_read_cycles_solve((2 * b.len() * cols) as u64);
-            }
-            for (&src, &qb) in topo.input_sources.iter().zip(&quantized_b) {
-                topo.circuit.set_current(src, -c * alpha * b_max * qb);
-            }
-            let sol = dc_op.solve_circuit(&topo.circuit).map_err(CoreError::from)?;
-            let volts = sol.voltages(&topo.x_nodes);
-            let peak = volts.iter().fold(0.0_f64, |m, v| m.max(v.abs()));
-            if peak > 0.95 * adc.v_ref() {
-                alpha *= 0.5;
-                continue;
-            }
-            #[cfg(feature = "telemetry")]
-            self.telemetry.add_adc_conversions(cols as u64);
-            x = volts.iter().map(|&vx| adc.convert(vx) * adc.v_ref() / alpha).collect();
-            break;
-        }
-        if x.is_empty() {
-            return Err(CoreError::InvalidArgument(
-                "PINV output railed the ADC at every ranging attempt",
-            ));
-        }
-        self.macros[planes[0].macro_id].output_buffer = x.clone();
-        Ok(x)
+        let mut xs = self.solve_pinv_batch(id, &[b.to_vec()])?;
+        Ok(xs.pop().expect("one RHS in, one solution out"))
     }
 
     /// Multi-RHS least-squares solve on the PINV configuration — the twin
@@ -1127,12 +953,41 @@ impl MacroGroup {
         id: OperatorId,
         bs: &[Vec<f64>],
     ) -> Result<Vec<Vec<f64>>, CoreError> {
+        self.solve_ranged(id, bs, MacroMode::Pinv)
+    }
+
+    /// The ranged multi-RHS injection body behind both solve batches.
+    /// INV and PINV are the same crosspoint array with different feedback
+    /// wiring, so `mode` ([`MacroMode::Inv`] or [`MacroMode::Pinv`]) only
+    /// picks the topology built around the shared conductance read: the
+    /// INV feedback loop needs a square operator, the PINV cascade adds a
+    /// stage-1 TIA and returns one unknown per operator column.
+    fn solve_ranged(
+        &mut self,
+        id: OperatorId,
+        bs: &[Vec<f64>],
+        mode: MacroMode,
+    ) -> Result<Vec<Vec<f64>>, CoreError> {
+        let inv = mode == MacroMode::Inv;
+        let (not_differential, railed_msg) = if inv {
+            (
+                "INV requires a differential operator",
+                "INV output railed the ADC at every ranging attempt",
+            )
+        } else {
+            (
+                "PINV requires a differential operator",
+                "PINV output railed the ADC at every ranging attempt",
+            )
+        };
         let op = self.operator(id)?;
-        if op.info.planes != 2 {
-            return Err(CoreError::InvalidArgument("PINV requires a differential operator"));
+        if inv && op.info.rows != op.info.cols {
+            return Err(CoreError::InvalidArgument("INV requires a square operator"));
         }
-        let rows = op.info.rows;
-        let cols = op.info.cols;
+        if op.info.planes != 2 {
+            return Err(CoreError::InvalidArgument(not_differential));
+        }
+        let (rows, cols) = (op.info.rows, op.info.cols);
         for b in bs {
             if b.len() != rows {
                 return Err(CoreError::ShapeMismatch { expected: rows, found: b.len() });
@@ -1142,15 +997,17 @@ impl MacroGroup {
             return Ok(Vec::new());
         }
         let (scale, planes) = (op.info.scale, op.planes.clone());
-        self.configure_operator(id, MacroMode::Pinv)?;
+        self.configure_operator(id, mode)?;
 
         let dac = self.macros[planes[0].macro_id].dac;
         let adc = self.macros[planes[0].macro_id].adc;
         let c = self.quantizer.step() / scale;
 
-        // Per-column injection state, scanned before the conductance read so
-        // an all-zero batch short-circuits without touching the arrays or
-        // the RNG (matching `solve_pinv` and `solve_inv_batch`).
+        // Per-column injection state: quantized b, its norm and the current
+        // ranging scale α (volts of output per matrix unit of x). Scanned
+        // before the conductance read so an all-zero batch — including
+        // every zero-b single-RHS call — short-circuits without touching
+        // the arrays or the RNG (matching the zero-input `mvm` path).
         let mut quantized: Vec<Vec<f64>> = Vec::with_capacity(bs.len());
         let mut b_maxes = Vec::with_capacity(bs.len());
         let mut alphas = Vec::with_capacity(bs.len());
@@ -1174,38 +1031,38 @@ impl MacroGroup {
         if active.is_empty() {
             return Ok(xs.into_iter().map(|x| x.expect("all columns zero")).collect());
         }
+        // One DAC drive per element of every active injection column.
         #[cfg(feature = "telemetry")]
         self.telemetry.add_dac_drives((active.len() * rows) as u64);
 
-        // One noisy conductance read shared by the whole batch.
-        let g_pos = self.macros[planes[0].macro_id]
-            .array
-            .conductances(planes[0].region, &mut self.rng)
-            .map_err(CoreError::from)?;
-        let g_neg = self.macros[planes[1].macro_id]
-            .array
-            .conductances(planes[1].region, &mut self.rng)
-            .map_err(CoreError::from)?;
-        let g_f = c.clamp(self.quantizer.g_min(), self.quantizer.g_max());
+        // One noisy conductance read shared by the whole batch (the
+        // mvm_batch contract: the array state cannot change mid-batch).
+        let (g_pos, g_neg) = self.read_pair(&planes)?;
         let model = self.opamp_model();
 
-        // The initial source currents are overwritten per column before each
+        // The source currents are overwritten per column before each
         // substitution, so the topology builds with a zero injection.
         let zeros = vec![0.0; rows];
-        let mut topo =
-            topology::build_pinv(&g_pos, &g_neg, &zeros, g_f, model).map_err(CoreError::from)?;
-        for (k, opamp) in topo.circuit.opamp_ids().into_iter().enumerate() {
-            let m = topo.circuit.opamp_model(opamp);
-            let off = self.macros[planes[0].macro_id].opamp_offset(k);
-            topo.circuit.set_opamp_model(opamp, m.offset(off));
-        }
-        let dc_op = DcOperator::new(&topo.circuit).map_err(CoreError::from)?;
+        let (mut circuit, input_sources, x_nodes) = if inv {
+            let t = topology::build_inv(&g_pos, &g_neg, &zeros, model).map_err(CoreError::from)?;
+            (t.circuit, t.input_sources, t.x_nodes)
+        } else {
+            let g_f = c.clamp(self.quantizer.g_min(), self.quantizer.g_max());
+            let t = topology::build_pinv(&g_pos, &g_neg, &zeros, g_f, model)
+                .map_err(CoreError::from)?;
+            (t.circuit, t.input_sources, t.x_nodes)
+        };
+        self.apply_opamp_offsets(&mut circuit, planes[0].macro_id);
+        let dc_op = DcOperator::new(&circuit).map_err(CoreError::from)?;
 
-        // Ranged multi-RHS substitution through the shared LU factors.
+        // Ranged multi-RHS substitution: all still-railing columns stack
+        // into one RHS matrix and substitute through the shared LU factors.
         for _attempt in 0..8 {
             if active.is_empty() {
                 break;
             }
+            // Every ranging attempt settles the feedback loop once per
+            // still-active column, biasing both planes of the region.
             #[cfg(feature = "telemetry")]
             {
                 self.telemetry.add_solve_settles(active.len() as u64);
@@ -1213,10 +1070,10 @@ impl MacroGroup {
             }
             let mut rhs = Matrix::zeros(dc_op.dim(), active.len());
             for (k, &ci) in active.iter().enumerate() {
-                for (&src, &qb) in topo.input_sources.iter().zip(&quantized[ci]) {
-                    topo.circuit.set_current(src, -c * alphas[ci] * b_maxes[ci] * qb);
+                for (&src, &qb) in input_sources.iter().zip(&quantized[ci]) {
+                    circuit.set_current(src, -c * alphas[ci] * b_maxes[ci] * qb);
                 }
-                let col = dc_op.rhs(&topo.circuit).map_err(CoreError::from)?;
+                let col = dc_op.rhs(&circuit).map_err(CoreError::from)?;
                 for (i, v) in col.iter().enumerate() {
                     rhs[(i, k)] = *v;
                 }
@@ -1224,8 +1081,9 @@ impl MacroGroup {
             let sol = dc_op.solve_rhs_matrix(&rhs).map_err(CoreError::from)?;
             let mut railed = Vec::new();
             for (k, &ci) in active.iter().enumerate() {
-                let volts: Vec<f64> = topo
-                    .x_nodes
+                // Raw MNA columns: node voltages occupy the leading rows,
+                // ground (index 0) is implicit.
+                let volts: Vec<f64> = x_nodes
                     .iter()
                     .map(|node| match node.index() {
                         0 => 0.0,
@@ -1250,9 +1108,7 @@ impl MacroGroup {
             active = railed;
         }
         if !active.is_empty() {
-            return Err(CoreError::InvalidArgument(
-                "PINV output railed the ADC at every ranging attempt",
-            ));
+            return Err(CoreError::InvalidArgument(railed_msg));
         }
         let out: Vec<Vec<f64>> =
             xs.into_iter().map(|x| x.expect("every column solved or error returned")).collect();
@@ -1288,14 +1144,7 @@ impl MacroGroup {
         self.configure_operator(id, MacroMode::Egv)?;
 
         // Effective ΔG with read noise, sampled once for the run.
-        let g_pos = self.macros[planes[0].macro_id]
-            .array
-            .conductances(planes[0].region, &mut self.rng)
-            .map_err(CoreError::from)?;
-        let g_neg = self.macros[planes[1].macro_id]
-            .array
-            .conductances(planes[1].region, &mut self.rng)
-            .map_err(CoreError::from)?;
+        let (g_pos, g_neg) = self.read_pair(&planes)?;
         let dg = &g_pos - &g_neg;
 
         // Digital λ̂ estimate from the *measured* conductances — the

@@ -78,11 +78,7 @@ impl TiledOperator {
                 let tr = tile_rows.min(rows - r0);
                 let tc = tile_cols.min(cols - c0);
                 let block = a.block(r0, c0, tr, tc);
-                let result = match mapping {
-                    TileMapping::FourBit => group.load_matrix(&block),
-                    TileMapping::BitSlicedInt8 => group.load_matrix_bitsliced(&block),
-                };
-                match result {
+                match group.load_mapped(&block, mapping) {
                     Ok(id) => {
                         loaded.push(id);
                         row_tiles.push(id);

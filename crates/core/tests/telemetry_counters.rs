@@ -14,7 +14,8 @@
 
 use gramc_core::isa::{BufferRef, Instruction};
 use gramc_core::system::GramcSystem;
-use gramc_core::{HwSnapshot, MacroConfig};
+use gramc_core::{HwSnapshot, MacroConfig, MacroGroup};
+use gramc_linalg::Matrix;
 
 const N: usize = 8; // operator dimension
 const B: usize = 3; // MvmBatch batch size
@@ -121,4 +122,63 @@ fn load_program_resets_instruction_telemetry() {
     assert!(!sys.instruction_telemetry().is_empty());
     sys.load_program(vec![Instruction::Halt]);
     assert!(sys.instruction_telemetry().is_empty());
+}
+
+/// Multi-RHS solve accounting at a fixed shape, one all-zero column in
+/// each batch: only the active columns drive DACs (one drive per element
+/// of b), settle the feedback loop once per ranging attempt while reading
+/// both planes of the operator's region, and capture one ADC conversion
+/// per solution element. The zero column short-circuits to an exact zero
+/// without touching the hardware. PINV reads the `rows × cols` region and
+/// returns `cols` unknowns; INV is the square case.
+#[test]
+fn multi_rhs_solve_counters_are_exact() {
+    let planes = 2; // differential 4-bit mapping
+    let active = 2; // three columns, one of them all-zero
+    let column = |n: usize, k: usize| -> Vec<f64> {
+        (0..n).map(|i| 0.1 + 0.03 * ((i + k) % 5) as f64).collect()
+    };
+    let mut group = MacroGroup::new(4, MacroConfig::small_ideal(N), 9);
+
+    // INV on a diagonally dominant N×N operator (well inside the ADC
+    // range, so one ranging attempt per column).
+    let a = Matrix::from_fn(N, N, |i, j| if i == j { 1.0 } else { 0.05 });
+    let inv = group.load_matrix(&a).unwrap();
+    let bs = vec![column(N, 0), vec![0.0; N], column(N, 1)];
+    let before = group.hw_snapshot();
+    let xs = group.solve_inv_batch(inv, &bs).unwrap();
+    let d = group.hw_snapshot().since(&before);
+    assert_eq!(xs[1], vec![0.0; N]);
+    assert_eq!(d.dac_drives, (active * N) as u64);
+    assert_eq!(d.solve_settles, active as u64);
+    assert_eq!(d.settle_events, 0);
+    assert_eq!(d.read_cycles_solve, (active * planes * N * N) as u64);
+    assert_eq!(d.read_cycles_mvm, 0);
+    assert_eq!(d.adc_conversions, (active * N) as u64);
+
+    // PINV on a tall ROWS×COLS operator.
+    const ROWS: usize = N;
+    const COLS: usize = 4;
+    let p = Matrix::from_fn(ROWS, COLS, |i, j| if i % COLS == j { 1.0 } else { 0.05 });
+    let pinv = group.load_matrix(&p).unwrap();
+    let bs = vec![column(ROWS, 2), column(ROWS, 3), vec![0.0; ROWS]];
+    let before = group.hw_snapshot();
+    let xs = group.solve_pinv_batch(pinv, &bs).unwrap();
+    let d = group.hw_snapshot().since(&before);
+    assert_eq!(xs[2], vec![0.0; COLS]);
+    assert_eq!(d.dac_drives, (active * ROWS) as u64);
+    assert_eq!(d.solve_settles, active as u64);
+    assert_eq!(d.settle_events, 0);
+    assert_eq!(d.read_cycles_solve, (active * planes * ROWS * COLS) as u64);
+    assert_eq!(d.read_cycles_mvm, 0);
+    assert_eq!(d.adc_conversions, (active * COLS) as u64);
+
+    // The scalar PINV is the one-column case of the batch accounting.
+    let before = group.hw_snapshot();
+    group.solve_pinv(pinv, &bs[0]).unwrap();
+    let d = group.hw_snapshot().since(&before);
+    assert_eq!(d.dac_drives, ROWS as u64);
+    assert_eq!(d.solve_settles, 1);
+    assert_eq!(d.read_cycles_solve, (planes * ROWS * COLS) as u64);
+    assert_eq!(d.adc_conversions, COLS as u64);
 }

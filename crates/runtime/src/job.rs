@@ -4,7 +4,8 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use gramc_core::tiling::TileMapping;
-use gramc_linalg::Matrix;
+use gramc_core::{CoreError, MacroGroup, OperatorId};
+use gramc_linalg::{lu, qr, vector, Matrix};
 
 use crate::error::RuntimeError;
 use crate::registry::OperatorHandle;
@@ -157,48 +158,193 @@ impl JobHandle {
     }
 }
 
-/// What a job does once a worker runs it on its shard. `Clone` because the
-/// recovery machinery re-dispatches failed or migrated jobs.
-#[derive(Debug, Clone)]
+/// A compute request against one operator — what
+/// [`Runtime::submit_for`](crate::Runtime::submit_for) takes. Each variant
+/// is one row of the runtime's operation table: an analog batch call on the
+/// macro group, a digital fallback on the registry's kept matrix, a
+/// residual check, and how the results fill the request's handle.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Work {
+    /// One MVM input (`len == cols`), answered as [`JobOutput::Vector`].
+    /// Requests against the same operator **coalesce** into one
+    /// `mvm_batch` dispatch.
+    Mvm(Vec<f64>),
+    /// An explicit MVM batch: one dispatch, one handle, answered as
+    /// [`JobOutput::Vectors`]. Bypasses coalescing.
+    MvmBatch(Vec<Vec<f64>>),
+    /// One INV right-hand side (`len == rows`), answered as
+    /// [`JobOutput::Vector`].
+    SolveInv(Vec<f64>),
+    /// Multi-RHS INV solve: all right-hand sides share one conductance
+    /// read and one factorization; answered as [`JobOutput::Vectors`].
+    SolveInvBatch(Vec<Vec<f64>>),
+    /// Multi-RHS PINV (least-squares) solve, answered as
+    /// [`JobOutput::Vectors`].
+    SolvePinvBatch(Vec<Vec<f64>>),
+}
+
+impl Work {
+    /// The queued kind of this request (a lone MVM is a one-request set).
+    pub(crate) fn kind(&self) -> ComputeKind {
+        match self {
+            Self::Mvm(_) => ComputeKind::MvmSet,
+            Self::MvmBatch(_) => ComputeKind::MvmBatch,
+            Self::SolveInv(_) => ComputeKind::SolveInv,
+            Self::SolveInvBatch(_) => ComputeKind::SolveInvBatch,
+            Self::SolvePinvBatch(_) => ComputeKind::SolvePinvBatch,
+        }
+    }
+
+    /// The request's input vectors, borrowed (no allocation for the
+    /// single-vector variants).
+    pub(crate) fn inputs(&self) -> &[Vec<f64>] {
+        match self {
+            Self::Mvm(x) | Self::SolveInv(x) => std::slice::from_ref(x),
+            Self::MvmBatch(xs) | Self::SolveInvBatch(xs) | Self::SolvePinvBatch(xs) => xs,
+        }
+    }
+
+    /// The queued form of the request.
+    pub(crate) fn into_compute(self, handle: OperatorHandle) -> Compute {
+        let kind = self.kind();
+        let inputs = match self {
+            Self::Mvm(x) | Self::SolveInv(x) => vec![x],
+            Self::MvmBatch(xs) | Self::SolveInvBatch(xs) | Self::SolvePinvBatch(xs) => xs,
+        };
+        Compute { handle, kind, inputs }
+    }
+}
+
+/// The three analog operations one macro reaches by reconfiguring its
+/// feedback wiring — the key of the operation table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Op {
+    Mvm,
+    Inv,
+    Pinv,
+}
+
+impl Op {
+    /// Required input length against an operator of shape `rows × cols`.
+    pub(crate) fn input_len(self, rows: usize, cols: usize) -> usize {
+        match self {
+            Self::Mvm => cols,
+            Self::Inv | Self::Pinv => rows,
+        }
+    }
+
+    /// The analog batch call on the operator's macro group.
+    pub(crate) fn analog(
+        self,
+        group: &mut MacroGroup,
+        id: OperatorId,
+        inputs: &[Vec<f64>],
+    ) -> Result<Vec<Vec<f64>>, CoreError> {
+        match self {
+            Self::Mvm => group.mvm_batch(id, inputs),
+            Self::Inv => group.solve_inv_batch(id, inputs),
+            Self::Pinv => group.solve_pinv_batch(id, inputs),
+        }
+    }
+
+    /// The digital fallback on the registry's kept matrix; the first
+    /// failing input fails the batch.
+    pub(crate) fn digital(
+        self,
+        a: &Matrix,
+        inputs: &[Vec<f64>],
+    ) -> Result<Vec<Vec<f64>>, RuntimeError> {
+        inputs
+            .iter()
+            .map(|x| match self {
+                Self::Mvm => Ok(a.matvec(x)),
+                Self::Inv => lu::solve(a, x),
+                Self::Pinv => qr::least_squares(a, x),
+            })
+            .collect::<Result<_, _>>()
+            .map_err(|e| RuntimeError::from(CoreError::from(e)))
+    }
+
+    /// Whether one analog result sits within `tol` of the quantized
+    /// operator `q`: MVM against `q·x`, INV by the residual
+    /// `‖q·x − b‖/‖b‖`, PINV against the digital least-squares solution
+    /// (`‖q·x − b‖` is not small for an overdetermined system; a
+    /// rank-deficient reference cannot arbitrate and passes).
+    pub(crate) fn residual_ok(self, q: &Matrix, input: &[f64], output: &[f64], tol: f64) -> bool {
+        match self {
+            Self::Mvm => vector::rel_error(output, &q.matvec(input)) <= tol,
+            Self::Inv => vector::rel_error(&q.matvec(output), input) <= tol,
+            Self::Pinv => qr::least_squares(q, input)
+                .map_or(true, |x_ref| vector::rel_error(output, &x_ref) <= tol),
+        }
+    }
+}
+
+/// A queued compute request kind. The discriminants are the kinds'
+/// indices in the telemetry name table (`0` is the coalesced dispatch).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ComputeKind {
+    /// A drained coalesced batch: one result slot per request.
+    MvmSet = 1,
+    MvmBatch = 2,
+    SolveInv = 3,
+    SolveInvBatch = 4,
+    SolvePinvBatch = 5,
+}
+
+impl ComputeKind {
+    pub(crate) fn op(self) -> Op {
+        match self {
+            Self::MvmSet | Self::MvmBatch => Op::Mvm,
+            Self::SolveInv | Self::SolveInvBatch => Op::Inv,
+            Self::SolvePinvBatch => Op::Pinv,
+        }
+    }
+
+    /// Fills the job's slots with its results: one
+    /// [`JobOutput::Vector`] per slot for the per-input kinds (a coalesced
+    /// set, a single solve), one [`JobOutput::Vectors`] in the batch's
+    /// only slot otherwise. An error fails every slot.
+    pub(crate) fn deliver(self, slots: &[Arc<Slot>], results: Result<Vec<Vec<f64>>, RuntimeError>) {
+        match results {
+            Err(e) => {
+                for slot in slots {
+                    slot.fill(Err(e.clone()));
+                }
+            }
+            Ok(ys) if matches!(self, Self::MvmSet | Self::SolveInv) => {
+                for (slot, y) in slots.iter().zip(ys) {
+                    slot.fill(Ok(JobOutput::Vector(y)));
+                }
+            }
+            Ok(ys) => slots[0].fill(Ok(JobOutput::Vectors(ys))),
+        }
+    }
+}
+
+/// A queued compute job: one row of the operation table applied to the
+/// inputs of one operator.
+#[derive(Debug)]
+pub(crate) struct Compute {
+    pub handle: OperatorHandle,
+    pub kind: ComputeKind,
+    pub inputs: Vec<Vec<f64>>,
+}
+
+/// What a job does once a worker runs it on its shard.
+#[derive(Debug)]
 pub(crate) enum JobKind {
     /// Dispatch of one operator's coalesced MVM requests: drains the
     /// operator's pending batch at execution time and runs it as one
     /// `mvm_batch` (one result slot per request, carried by the batch).
     MvmMany { handle: OperatorHandle },
-    /// A drained coalesced batch being re-dispatched (retry or migration):
-    /// the requests already left the pending table, so they ride in the
-    /// job, one result slot per request.
-    MvmSet { handle: OperatorHandle, xs: Vec<Vec<f64>> },
-    /// Explicit batch MVM: one `mvm_batch` dispatch, one slot for the
-    /// whole batch.
-    MvmBatch { handle: OperatorHandle, xs: Vec<Vec<f64>> },
-    /// Single-RHS INV solve.
-    SolveInv { handle: OperatorHandle, b: Vec<f64> },
-    /// Multi-RHS INV solve through `MacroGroup::solve_inv_batch`.
-    SolveInvBatch { handle: OperatorHandle, bs: Vec<Vec<f64>> },
-    /// Multi-RHS PINV (least-squares) solve through
-    /// `MacroGroup::solve_pinv_batch`.
-    SolvePinvBatch { handle: OperatorHandle, bs: Vec<Vec<f64>> },
+    /// A compute request (also a hydrated coalesced batch, as
+    /// [`ComputeKind::MvmSet`]).
+    Compute(Compute),
     /// Place a matrix on the job's shard and fulfil the registry entry.
     Load { handle: OperatorHandle, matrix: Arc<Matrix>, mapping: TileMapping },
     /// Release the operator and retire the registry entry.
     Free { handle: OperatorHandle },
-}
-
-impl JobKind {
-    /// The operator a compute job targets (`None` for load/free lifecycle
-    /// jobs, which the recovery path never re-dispatches).
-    pub(crate) fn operator(&self) -> Option<OperatorHandle> {
-        match self {
-            Self::MvmMany { handle }
-            | Self::MvmSet { handle, .. }
-            | Self::MvmBatch { handle, .. }
-            | Self::SolveInv { handle, .. }
-            | Self::SolveInvBatch { handle, .. }
-            | Self::SolvePinvBatch { handle, .. } => Some(*handle),
-            Self::Load { .. } | Self::Free { .. } => None,
-        }
-    }
 }
 
 /// Attribution record of one request riding in a job: who submitted it,

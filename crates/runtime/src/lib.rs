@@ -37,15 +37,18 @@
 //!
 //! ## Job lifecycle
 //!
-//! 1. **Submit.** [`Runtime::submit_mvm`] appends the request to its
-//!    operator's pending batch: the first request opens the batch and
+//! 1. **Submit.** A compute request is a [`Work`] (MVM, MVM batch, INV,
+//!    INV batch or PINV batch) sent through [`Runtime::submit_for`], or
+//!    its default-tenant sugar `submit_mvm`, `submit_solve_inv`, …; one
+//!    operation table gives every kind its analog call, digital fallback
+//!    and residual check. [`Runtime::submit_mvm`] appends the request to
+//!    its operator's pending batch: the first request opens the batch and
 //!    enqueues its dispatch job, later requests join it until it runs, so
 //!    many requests against one operator collapse into a single
 //!    `mvm_batch` analog dispatch at the first request's place in program
-//!    order. The other `submit_*` calls ([`Runtime::submit_mvm_batch`],
-//!    [`Runtime::submit_solve_inv`], [`Runtime::submit_solve_inv_batch`],
-//!    [`Runtime::submit_load`], [`Runtime::submit_free`]) enqueue one job
-//!    each. Every submission returns a [`JobHandle`].
+//!    order. Every other kind, [`Runtime::submit_load`] and
+//!    [`Runtime::submit_free`] enqueue one job each. Every submission
+//!    returns a [`JobHandle`].
 //! 2. **Ticket.** At enqueue time a job takes the next *ticket* of its
 //!    target shard. Tickets are the per-shard program order: a job may only
 //!    execute when every earlier ticket of its shard has retired, no matter
@@ -97,8 +100,8 @@
 //!   [`RunSummary::events`].
 //! * **Degraded mode** is the last rung: with no healthy shard to migrate
 //!   to — or a single job out of retries — results come from the digital
-//!   reference path (`matmul_reference` / LU on the registry's kept
-//!   matrix). Still correct answers, still reported: the summary counts
+//!   reference path (`matvec` / LU / QR least squares on the registry's
+//!   kept matrix). Still correct answers, still reported: the summary counts
 //!   degraded dispatches and records an [`HealthEvent::OperatorDegraded`]
 //!   per affected operator.
 //!
@@ -170,8 +173,8 @@
 //! ### Tenants
 //!
 //! Submissions belong to a [`TenantId`]: the plain `submit_*` APIs run as
-//! [`TenantId::DEFAULT`], the `submit_*_for(tenant, ...)` variants name
-//! one. Per tenant the runtime keeps a submit→complete latency histogram,
+//! [`TenantId::DEFAULT`]; [`Runtime::submit_for`] (compute) and
+//! [`Runtime::submit_load_for`] name one. Per tenant the runtime keeps a submit→complete latency histogram,
 //! an in-flight gauge and its **exact share of the hardware counters**: a
 //! coalesced batch's counter delta is split among its riders
 //! proportionally to row counts with largest-remainder integer
@@ -283,7 +286,7 @@ mod tiling;
 
 pub use error::RuntimeError;
 pub use health::{HealthConfig, HealthEvent};
-pub use job::{JobHandle, JobOutput};
+pub use job::{JobHandle, JobOutput, Work};
 pub use registry::{OperatorHandle, Placement};
 pub use runtime::{QueuePolicy, RunSummary, Runtime};
 pub use server::{RuntimeServer, ServeReport};

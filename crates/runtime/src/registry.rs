@@ -196,29 +196,16 @@ impl Registry {
         }
     }
 
-    /// Shard an operator lives (or will live) on — usable while the load is
-    /// still queued, which is what lets follow-up jobs enqueue behind it.
-    /// Free-queued handles are rejected: the handle is dead to further
-    /// submissions the moment its free is accepted.
-    pub(crate) fn shard_of(&self, handle: OperatorHandle) -> Result<usize, RuntimeError> {
-        self.submission_entry(handle).map(|e| e.shard)
-    }
-
-    /// Shard plus input dimension, for shape-checking MVM submissions.
-    pub(crate) fn shard_and_cols(
+    /// Shard an operator lives (or will live) on, plus its shape, as
+    /// `(shard, rows, cols)` for shape-checking inputs at submit time —
+    /// usable while the load is still queued, which is what lets follow-up
+    /// jobs enqueue behind it. Free-queued handles are rejected: the handle
+    /// is dead to further submissions the moment its free is accepted.
+    pub(crate) fn submission_target(
         &self,
         handle: OperatorHandle,
-    ) -> Result<(usize, usize), RuntimeError> {
-        self.submission_entry(handle).map(|e| (e.shard, e.cols))
-    }
-
-    /// Shard plus output dimension, for shape-checking solve right-hand
-    /// sides at submission.
-    pub(crate) fn shard_and_rows(
-        &self,
-        handle: OperatorHandle,
-    ) -> Result<(usize, usize), RuntimeError> {
-        self.submission_entry(handle).map(|e| (e.shard, e.rows))
+    ) -> Result<(usize, usize, usize), RuntimeError> {
+        self.submission_entry(handle).map(|e| (e.shard, e.rows, e.cols))
     }
 
     fn submission_entry(&self, handle: OperatorHandle) -> Result<&Entry, RuntimeError> {

@@ -10,13 +10,15 @@ use gramc_core::tiling::TileMapping;
 #[cfg(feature = "fault-inject")]
 use gramc_core::FaultConfig;
 use gramc_core::{CoreError, MacroConfig, MacroGroup, ProbeReport};
-use gramc_linalg::{lu, qr, vector, Matrix};
+use gramc_linalg::Matrix;
 #[cfg(feature = "telemetry")]
 use gramc_telemetry::{FlowPhase, HwSnapshot, JournalEvent};
 
 use crate::error::RuntimeError;
 use crate::health::{HealthConfig, HealthEvent, ShardHealth};
-use crate::job::{Job, JobHandle, JobKind, JobOutput, RequestMeta, Slot};
+use crate::job::{
+    Compute, ComputeKind, Job, JobHandle, JobKind, JobOutput, Op, RequestMeta, Slot, Work,
+};
 use crate::registry::{ExecTarget, FreeTarget, OperatorHandle, Placement, Registry};
 #[cfg(feature = "telemetry")]
 use crate::telemetry::{
@@ -306,8 +308,9 @@ impl Runtime {
 
     /// Tenant-quota admission: takes one in-flight unit for the request,
     /// or rejects it with [`RuntimeError::QueueFull`] when the tenant sits
-    /// at its quota. Called as the **last** fallible step of every submit
-    /// path, so a rejected submission has taken no state.
+    /// at its quota. The last admission step of
+    /// [`admit_request`](Self::admit_request), so a rejected submission
+    /// has taken no state.
     fn admit_tenant(&self, entry: &TenantEntry) -> Result<(), RuntimeError> {
         let limit = self.tenant_quota.map(|q| q.max_in_flight);
         if !entry.try_acquire(limit) {
@@ -325,8 +328,9 @@ impl Runtime {
     }
 
     /// Admission control: rejects the submission while the queue sits at or
-    /// over the configured bound. Called by every `submit_*` before any
-    /// state is mutated, so a rejected call has no side effects.
+    /// over the configured bound. The first step of
+    /// [`admit_request`](Self::admit_request), before any state is
+    /// mutated, so a rejected call has no side effects.
     fn admit(&self) -> Result<(), RuntimeError> {
         let Some(limit) = self.queue_limit else {
             return Ok(());
@@ -402,14 +406,9 @@ impl Runtime {
 
     /// Takes the next ticket of `shard` and enqueues the job under the
     /// queue policy. The queue lock is held across ticket assignment so
-    /// queue order equals ticket order for every shard.
-    fn enqueue(&self, shard: usize, kind: JobKind, slots: Vec<Arc<Slot>>, meta: Vec<RequestMeta>) {
-        self.enqueue_job(shard, kind, slots, meta, 0);
-    }
-
-    /// [`enqueue`](Self::enqueue) carrying a retry count — how the recovery
-    /// path re-dispatches failed or migrated jobs.
-    fn enqueue_job(
+    /// queue order equals ticket order for every shard. `retries` counts
+    /// the recovery path's re-dispatches of a failed job (0 on submission).
+    fn enqueue(
         &self,
         shard: usize,
         kind: JobKind,
@@ -470,15 +469,50 @@ impl Runtime {
         }
     }
 
-    /// Rejects `NaN`/`±inf` inputs at submission time (mirroring the shape
-    /// check): an analog driver cannot encode them, and catching them here
-    /// keeps one malformed request from poisoning a coalesced batch.
-    fn check_finite(xs: &[f64]) -> Result<(), RuntimeError> {
-        if xs.iter().all(|x| x.is_finite()) {
-            Ok(())
-        } else {
-            Err(RuntimeError::NonFiniteInput)
+    /// The one submission path. Callers validate their request first, so
+    /// admission is the first step that takes state: queue admission
+    /// (skipped for a rider joining an open coalesced batch, which adds no
+    /// queue entry), tenant admission as the last fallible step, then
+    /// `place` — the only step allowed to fail after admission, which
+    /// hands the tenant's in-flight unit back — and finally the request's
+    /// id, handle and attribution record (`weight` rows).
+    fn admit_request<T>(
+        &self,
+        tenant: TenantId,
+        weight: u64,
+        queue_entry: bool,
+        place: impl FnOnce() -> Result<T, RuntimeError>,
+    ) -> Result<(T, JobHandle, RequestMeta), RuntimeError> {
+        if queue_entry {
+            self.admit()?;
         }
+        let entry = self.tenants.entry(tenant);
+        self.admit_tenant(&entry)?;
+        let placed = match place() {
+            Ok(p) => p,
+            Err(e) => {
+                // Admission succeeded but placement did not: hand the
+                // in-flight unit back, the request never existed.
+                entry.release();
+                return Err(e);
+            }
+        };
+        let request = self.mint_request();
+        Ok((placed, JobHandle::new(request, entry), RequestMeta::new(request, tenant, weight)))
+    }
+
+    /// [`admit_request`](Self::admit_request) for a request that is its
+    /// own job: `place` names the job's shard and kind, and the job is
+    /// enqueued with the request's one result slot.
+    fn submit_job<T>(
+        &self,
+        tenant: TenantId,
+        weight: u64,
+        place: impl FnOnce() -> Result<(usize, JobKind, T), RuntimeError>,
+    ) -> Result<(T, JobHandle), RuntimeError> {
+        let ((shard, kind, placed), jh, meta) = self.admit_request(tenant, weight, true, place)?;
+        self.enqueue(shard, kind, vec![jh.slot.clone()], vec![meta], 0);
+        Ok((placed, jh))
     }
 
     /// Queues a matrix load. The returned [`OperatorHandle`] is valid for
@@ -511,109 +545,92 @@ impl Runtime {
         mapping: TileMapping,
         placement: Placement,
     ) -> Result<(OperatorHandle, JobHandle), RuntimeError> {
-        self.admit()?;
-        let entry = self.tenants.entry(tenant);
-        self.admit_tenant(&entry)?;
-        let matrix = Arc::new(a.clone());
-        let placed = self.registry.lock().expect("registry lock").place(
-            placement,
-            a.rows(),
-            a.cols(),
-            matrix.clone(),
-            mapping,
-        );
-        let (handle, shard) = match placed {
-            Ok(p) => p,
-            Err(e) => {
-                // Admission succeeded but placement did not: hand the
-                // in-flight unit back, the request never existed.
-                entry.release();
-                return Err(e);
-            }
-        };
-        let request = self.mint_request();
-        let jh = JobHandle::new(request, entry);
-        self.enqueue(
-            shard,
-            JobKind::Load { handle, matrix, mapping },
-            vec![jh.slot.clone()],
-            vec![RequestMeta::new(request, tenant, 1)],
-        );
-        Ok((handle, jh))
+        self.submit_job(tenant, 1, || {
+            let matrix = Arc::new(a.clone());
+            let (handle, shard) = self.registry.lock().expect("registry lock").place(
+                placement,
+                a.rows(),
+                a.cols(),
+                matrix.clone(),
+                mapping,
+            )?;
+            Ok((shard, JobKind::Load { handle, matrix, mapping }, handle))
+        })
     }
 
-    /// Submits one MVM request. Requests against the same operator are
-    /// **coalesced**: the first pending request opens a batch and enqueues
-    /// its dispatch job (so the batch takes its shard ticket — its place in
-    /// program order — at that first submission point), and later requests
-    /// join the open batch until the job executes it as a single
-    /// `mvm_batch` — one analog dispatch for the whole crowd, never
-    /// reordered after jobs submitted later.
+    /// Submits one compute request attributed to `tenant` — the
+    /// tenant-explicit form of every compute `submit_*`; see [`Work`] for
+    /// the request kinds.
+    ///
+    /// Every kind is validated here, before admission takes any state: the
+    /// handle, each input's length (`cols` for MVM, `rows` for INV/PINV)
+    /// and its finiteness — so one malformed request cannot take a queue
+    /// slot or poison the coalesced batch it would have joined.
+    ///
+    /// A [`Work::Mvm`] request is **coalesced**: the first pending request
+    /// against an operator opens a batch and enqueues its dispatch job (so
+    /// the batch takes its shard ticket — its place in program order — at
+    /// that first submission point), and later requests join the open
+    /// batch until the job executes it as a single `mvm_batch` — one analog
+    /// dispatch for the whole crowd, never reordered after jobs submitted
+    /// later. Riders keep their own [`RequestId`] and tenant: the batch
+    /// executes once, but its cost is split among the riders and each
+    /// rider's causal chain stays visible in the trace. Every other kind is
+    /// one job, and one request of weight `inputs.len()` in the tenant's
+    /// cost attribution.
     ///
     /// # Errors
     ///
     /// [`RuntimeError::InvalidHandle`] for dead handles;
     /// [`CoreError::ShapeMismatch`](gramc_core::CoreError) for a wrong
-    /// input length — checked here so one malformed request cannot poison
-    /// the whole coalesced batch it would have joined;
-    /// [`RuntimeError::QueueFull`] past the admission bound (only a request
-    /// that would *open* a batch is subject to the bound — a rider joining
-    /// an already-open batch adds no queue entry).
-    pub fn submit_mvm(&self, op: OperatorHandle, x: Vec<f64>) -> Result<JobHandle, RuntimeError> {
-        self.submit_mvm_for(TenantId::DEFAULT, op, x)
-    }
-
-    /// [`submit_mvm`](Self::submit_mvm) attributed to an explicit tenant.
-    /// Riders joining an open batch keep their own [`RequestId`] and
-    /// tenant — the batch executes once, but its cost is split among the
-    /// riders and each rider's causal chain stays visible in the trace.
-    ///
-    /// # Errors
-    ///
-    /// As [`submit_mvm`](Self::submit_mvm), plus
-    /// [`RuntimeError::QueueFull`] when `tenant` sits at its quota (riders
-    /// are subject to the tenant quota even though they add no queue
-    /// entry — each holds a result slot).
-    pub fn submit_mvm_for(
+    /// input length; [`RuntimeError::NonFiniteInput`] for `NaN`/`±inf`
+    /// inputs; [`RuntimeError::QueueFull`] past the admission bound (only
+    /// an MVM request that would *open* a batch is subject to the bound —
+    /// a rider joining an already-open batch adds no queue entry) or when
+    /// `tenant` sits at its quota (riders included — each holds a result
+    /// slot).
+    pub fn submit_for(
         &self,
         tenant: TenantId,
         op: OperatorHandle,
-        x: Vec<f64>,
+        work: Work,
     ) -> Result<JobHandle, RuntimeError> {
-        let (shard, cols) = self.registry.lock().expect("registry lock").shard_and_cols(op)?;
-        if x.len() != cols {
-            return Err(CoreError::ShapeMismatch { expected: cols, found: x.len() }.into());
+        let (shard, rows, cols) =
+            self.registry.lock().expect("registry lock").submission_target(op)?;
+        let expected = work.kind().op().input_len(rows, cols);
+        for x in work.inputs() {
+            if x.len() != expected {
+                return Err(CoreError::ShapeMismatch { expected, found: x.len() }.into());
+            }
+            // An analog driver cannot encode `NaN`/`±inf`.
+            if !x.iter().all(|v| v.is_finite()) {
+                return Err(RuntimeError::NonFiniteInput);
+            }
         }
-        Self::check_finite(&x)?;
-        let entry = self.tenants.entry(tenant);
+        let Work::Mvm(x) = work else {
+            let weight = work.inputs().len().max(1) as u64;
+            let compute = work.into_compute(op);
+            let ((), jh) =
+                self.submit_job(tenant, weight, || Ok((shard, JobKind::Compute(compute), ())))?;
+            return Ok(jh);
+        };
         // The pending lock is held across the enqueue so opening the batch
         // and taking its ticket are atomic.
         let mut pending = self.pending_mvm.lock().expect("pending lock");
         let batch = pending.entry(op).or_default();
         let opens_batch = batch.xs.is_empty();
-        if opens_batch {
-            self.admit()?;
-        }
-        // Tenant admission is the last fallible step: a rejected request
-        // has joined nothing.
-        self.admit_tenant(&entry)?;
-        let request = self.mint_request();
-        let jh = JobHandle::new(request, entry);
-        #[allow(unused_mut)]
-        let mut m = RequestMeta::new(request, tenant, 1);
+        let ((), jh, meta) = self.admit_request(tenant, 1, opens_batch, || Ok(()))?;
+        // Riders stamp their own submission time — their queue wait starts
+        // here, not at the batch's ticket.
         #[cfg(feature = "telemetry")]
-        {
-            // Riders stamp their own submission time — their queue wait
-            // starts here, not at the batch's ticket.
-            m.submit_ns = self.telemetry.journal.now_ns();
-        }
+        let meta = RequestMeta { submit_ns: self.telemetry.journal.now_ns(), ..meta };
         batch.xs.push(x);
         batch.slots.push(jh.slot.clone());
-        batch.meta.push(m);
+        batch.meta.push(meta);
         if opens_batch {
             // The dispatch job starts empty: hydration drains the pending
             // batch (slots and meta included) when it executes.
-            self.enqueue(shard, JobKind::MvmMany { handle: op }, Vec::new(), Vec::new());
+            self.enqueue(shard, JobKind::MvmMany { handle: op }, Vec::new(), Vec::new(), 0);
         } else {
             // Joined an already-open batch: no new job, just one more rider.
             #[cfg(feature = "telemetry")]
@@ -627,95 +644,42 @@ impl Runtime {
         Ok(jh)
     }
 
+    /// Submits one MVM request as [`TenantId::DEFAULT`]
+    /// ([`submit_for`](Self::submit_for) with [`Work::Mvm`]): requests
+    /// against the same operator coalesce into one analog dispatch.
+    ///
+    /// # Errors
+    ///
+    /// As [`submit_for`](Self::submit_for).
+    pub fn submit_mvm(&self, op: OperatorHandle, x: Vec<f64>) -> Result<JobHandle, RuntimeError> {
+        self.submit_for(TenantId::DEFAULT, op, Work::Mvm(x))
+    }
+
     /// Submits an explicit batch MVM (one job, one handle for the whole
     /// batch) — bypasses coalescing.
     ///
     /// # Errors
     ///
-    /// [`RuntimeError::InvalidHandle`] for dead handles;
-    /// [`RuntimeError::QueueFull`] past the admission bound.
+    /// As [`submit_for`](Self::submit_for).
     pub fn submit_mvm_batch(
         &self,
         op: OperatorHandle,
         xs: Vec<Vec<f64>>,
     ) -> Result<JobHandle, RuntimeError> {
-        self.submit_mvm_batch_for(TenantId::DEFAULT, op, xs)
-    }
-
-    /// [`submit_mvm_batch`](Self::submit_mvm_batch) attributed to an
-    /// explicit tenant. The batch is one request of weight `xs.len()` in
-    /// the tenant's cost attribution.
-    ///
-    /// # Errors
-    ///
-    /// As [`submit_mvm_batch`](Self::submit_mvm_batch), plus
-    /// [`RuntimeError::QueueFull`] when `tenant` sits at its quota.
-    pub fn submit_mvm_batch_for(
-        &self,
-        tenant: TenantId,
-        op: OperatorHandle,
-        xs: Vec<Vec<f64>>,
-    ) -> Result<JobHandle, RuntimeError> {
-        self.admit()?;
-        let shard = self.registry.lock().expect("registry lock").shard_of(op)?;
-        for x in &xs {
-            Self::check_finite(x)?;
-        }
-        let entry = self.tenants.entry(tenant);
-        self.admit_tenant(&entry)?;
-        let request = self.mint_request();
-        let rows = xs.len().max(1) as u64;
-        let jh = JobHandle::new(request, entry);
-        self.enqueue(
-            shard,
-            JobKind::MvmBatch { handle: op, xs },
-            vec![jh.slot.clone()],
-            vec![RequestMeta::new(request, tenant, rows)],
-        );
-        Ok(jh)
+        self.submit_for(TenantId::DEFAULT, op, Work::MvmBatch(xs))
     }
 
     /// Submits a single-RHS INV solve.
     ///
     /// # Errors
     ///
-    /// [`RuntimeError::InvalidHandle`] for dead handles;
-    /// [`RuntimeError::QueueFull`] past the admission bound.
+    /// As [`submit_for`](Self::submit_for).
     pub fn submit_solve_inv(
         &self,
         op: OperatorHandle,
         b: Vec<f64>,
     ) -> Result<JobHandle, RuntimeError> {
-        self.submit_solve_inv_for(TenantId::DEFAULT, op, b)
-    }
-
-    /// [`submit_solve_inv`](Self::submit_solve_inv) attributed to an
-    /// explicit tenant.
-    ///
-    /// # Errors
-    ///
-    /// As [`submit_solve_inv`](Self::submit_solve_inv), plus
-    /// [`RuntimeError::QueueFull`] when `tenant` sits at its quota.
-    pub fn submit_solve_inv_for(
-        &self,
-        tenant: TenantId,
-        op: OperatorHandle,
-        b: Vec<f64>,
-    ) -> Result<JobHandle, RuntimeError> {
-        self.admit()?;
-        let shard = self.registry.lock().expect("registry lock").shard_of(op)?;
-        Self::check_finite(&b)?;
-        let entry = self.tenants.entry(tenant);
-        self.admit_tenant(&entry)?;
-        let request = self.mint_request();
-        let jh = JobHandle::new(request, entry);
-        self.enqueue(
-            shard,
-            JobKind::SolveInv { handle: op, b },
-            vec![jh.slot.clone()],
-            vec![RequestMeta::new(request, tenant, 1)],
-        );
-        Ok(jh)
+        self.submit_for(TenantId::DEFAULT, op, Work::SolveInv(b))
     }
 
     /// Submits a multi-RHS INV solve (`MacroGroup::solve_inv_batch`): all
@@ -723,46 +687,13 @@ impl Runtime {
     ///
     /// # Errors
     ///
-    /// [`RuntimeError::InvalidHandle`] for dead handles;
-    /// [`RuntimeError::QueueFull`] past the admission bound.
+    /// As [`submit_for`](Self::submit_for).
     pub fn submit_solve_inv_batch(
         &self,
         op: OperatorHandle,
         bs: Vec<Vec<f64>>,
     ) -> Result<JobHandle, RuntimeError> {
-        self.submit_solve_inv_batch_for(TenantId::DEFAULT, op, bs)
-    }
-
-    /// [`submit_solve_inv_batch`](Self::submit_solve_inv_batch) attributed
-    /// to an explicit tenant.
-    ///
-    /// # Errors
-    ///
-    /// As [`submit_solve_inv_batch`](Self::submit_solve_inv_batch), plus
-    /// [`RuntimeError::QueueFull`] when `tenant` sits at its quota.
-    pub fn submit_solve_inv_batch_for(
-        &self,
-        tenant: TenantId,
-        op: OperatorHandle,
-        bs: Vec<Vec<f64>>,
-    ) -> Result<JobHandle, RuntimeError> {
-        self.admit()?;
-        let shard = self.registry.lock().expect("registry lock").shard_of(op)?;
-        for b in &bs {
-            Self::check_finite(b)?;
-        }
-        let entry = self.tenants.entry(tenant);
-        self.admit_tenant(&entry)?;
-        let request = self.mint_request();
-        let rows = bs.len().max(1) as u64;
-        let jh = JobHandle::new(request, entry);
-        self.enqueue(
-            shard,
-            JobKind::SolveInvBatch { handle: op, bs },
-            vec![jh.slot.clone()],
-            vec![RequestMeta::new(request, tenant, rows)],
-        );
-        Ok(jh)
+        self.submit_for(TenantId::DEFAULT, op, Work::SolveInvBatch(bs))
     }
 
     /// Submits a multi-RHS PINV (least-squares) solve
@@ -771,51 +702,13 @@ impl Runtime {
     ///
     /// # Errors
     ///
-    /// [`RuntimeError::InvalidHandle`] for dead handles;
-    /// [`CoreError::ShapeMismatch`](gramc_core::CoreError) when a
-    /// right-hand side's length is not the operator's row count;
-    /// [`RuntimeError::QueueFull`] past the admission bound.
+    /// As [`submit_for`](Self::submit_for).
     pub fn submit_solve_pinv_batch(
         &self,
         op: OperatorHandle,
         bs: Vec<Vec<f64>>,
     ) -> Result<JobHandle, RuntimeError> {
-        self.submit_solve_pinv_batch_for(TenantId::DEFAULT, op, bs)
-    }
-
-    /// [`submit_solve_pinv_batch`](Self::submit_solve_pinv_batch)
-    /// attributed to an explicit tenant.
-    ///
-    /// # Errors
-    ///
-    /// As [`submit_solve_pinv_batch`](Self::submit_solve_pinv_batch), plus
-    /// [`RuntimeError::QueueFull`] when `tenant` sits at its quota.
-    pub fn submit_solve_pinv_batch_for(
-        &self,
-        tenant: TenantId,
-        op: OperatorHandle,
-        bs: Vec<Vec<f64>>,
-    ) -> Result<JobHandle, RuntimeError> {
-        self.admit()?;
-        let (shard, rows) = self.registry.lock().expect("registry lock").shard_and_rows(op)?;
-        for b in &bs {
-            if b.len() != rows {
-                return Err(CoreError::ShapeMismatch { expected: rows, found: b.len() }.into());
-            }
-            Self::check_finite(b)?;
-        }
-        let entry = self.tenants.entry(tenant);
-        self.admit_tenant(&entry)?;
-        let request = self.mint_request();
-        let weight = bs.len().max(1) as u64;
-        let jh = JobHandle::new(request, entry);
-        self.enqueue(
-            shard,
-            JobKind::SolvePinvBatch { handle: op, bs },
-            vec![jh.slot.clone()],
-            vec![RequestMeta::new(request, tenant, weight)],
-        );
-        Ok(jh)
+        self.submit_for(TenantId::DEFAULT, op, Work::SolvePinvBatch(bs))
     }
 
     /// Queues the release of an operator. The handle is dead to further
@@ -830,24 +723,10 @@ impl Runtime {
     /// [`RuntimeError::InvalidHandle`] for unknown handles,
     /// [`RuntimeError::QueueFull`] past the admission bound.
     pub fn submit_free(&self, op: OperatorHandle) -> Result<JobHandle, RuntimeError> {
-        self.admit()?;
-        let entry = self.tenants.entry(TenantId::DEFAULT);
-        self.admit_tenant(&entry)?;
-        let shard = match self.registry.lock().expect("registry lock").queue_free(op) {
-            Ok(shard) => shard,
-            Err(e) => {
-                entry.release();
-                return Err(e);
-            }
-        };
-        let request = self.mint_request();
-        let jh = JobHandle::new(request, entry);
-        self.enqueue(
-            shard,
-            JobKind::Free { handle: op },
-            vec![jh.slot.clone()],
-            vec![RequestMeta::new(request, TenantId::DEFAULT, 1)],
-        );
+        let ((), jh) = self.submit_job(TenantId::DEFAULT, 1, || {
+            let shard = self.registry.lock().expect("registry lock").queue_free(op)?;
+            Ok((shard, JobKind::Free { handle: op }, ()))
+        })?;
         Ok(jh)
     }
 
@@ -1322,14 +1201,12 @@ impl Runtime {
         // can never make `remaining` touch zero and end the drain early.
         match run {
             Ok(Verdict::Done) => {}
-            Ok(Verdict::Requeue { to, kind, slots, meta }) => {
+            Ok(Verdict::Requeue(to)) => {
                 #[cfg(feature = "telemetry")]
                 self.telemetry.per_shard[job.shard].requeues.fetch_add(1, Ordering::Relaxed);
-                self.enqueue_job(to, kind, slots, meta, job.retries);
+                self.enqueue(to, job.kind, job.slots, job.meta, job.retries);
             }
-            Ok(Verdict::Failed { kind, slots, meta }) => {
-                self.handle_failure(job.shard, job.retries, kind, slots, meta);
-            }
+            Ok(Verdict::Failed) => self.handle_failure(job),
             Ok(Verdict::ShardSuspect) => {
                 self.note_failure(job.shard);
             }
@@ -1356,229 +1233,20 @@ impl Runtime {
     /// panic, the riders' slots are the job's slots and every completion
     /// path in [`try_execute`](Self::try_execute) covers them.
     fn run_kind(&self, group: &mut MacroGroup, job: &mut Job) -> Verdict {
-        if let JobKind::MvmMany { handle } = &job.kind {
-            let handle = *handle;
+        if let JobKind::MvmMany { handle } = job.kind {
             // Drain whatever the batch accumulated between its opening
             // submission and now (nothing, if a redundant dispatch raced).
             let Some(batch) = self.pending_mvm.lock().expect("pending lock").remove(&handle) else {
                 return Verdict::Done;
             };
-            job.kind = JobKind::MvmSet { handle, xs: batch.xs };
+            job.kind =
+                JobKind::Compute(Compute { handle, kind: ComputeKind::MvmSet, inputs: batch.xs });
             job.slots = batch.slots;
             job.meta = batch.meta;
         }
-        // One registry lookup decides where a compute job actually runs.
-        // A job whose operator is still homed on a *quarantined* shard hit
-        // the migration window: bounce it (a requeue that burns no retry)
-        // until the healer has relocated or demoted the operator, instead
-        // of wasting analog dispatches — and the job's retries — on arrays
-        // already known to be bad.
-        let route = |op: OperatorHandle| -> Route {
-            let reg = self.registry.lock().expect("registry lock");
-            match reg.exec_target(op) {
-                Err(e) => Route::Fail(e),
-                Ok(ExecTarget::Digital(m)) => Route::Digital(m),
-                Ok(ExecTarget::Analog { shard, id }) => {
-                    if shard == job.shard && !reg.is_quarantined(shard) {
-                        Route::Run(id)
-                    } else {
-                        Route::Requeue(shard)
-                    }
-                }
-            }
-        };
         match &job.kind {
-            JobKind::MvmMany { .. } => {
-                unreachable!("hydrated into MvmSet above")
-            }
-            JobKind::MvmSet { handle, xs } => match route(*handle) {
-                Route::Fail(e) => {
-                    for slot in &job.slots {
-                        slot.fill(Err(e.clone()));
-                    }
-                    Verdict::Done
-                }
-                Route::Digital(m) => {
-                    for (slot, x) in job.slots.iter().zip(xs) {
-                        slot.fill(Ok(JobOutput::Vector(m.matvec(x))));
-                    }
-                    self.degraded.fetch_add(1, Ordering::SeqCst);
-                    Verdict::Done
-                }
-                Route::Requeue(to) => Verdict::Requeue {
-                    to,
-                    kind: job.kind.clone(),
-                    slots: job.slots.clone(),
-                    meta: job.meta.clone(),
-                },
-                Route::Run(id) => match group.mvm_batch(id, xs) {
-                    Ok(ys) => {
-                        if !self.mvm_residuals_ok(group, id, xs, &ys) {
-                            return Verdict::Failed {
-                                kind: job.kind.clone(),
-                                slots: job.slots.clone(),
-                                meta: job.meta.clone(),
-                            };
-                        }
-                        for (slot, y) in job.slots.iter().zip(ys) {
-                            slot.fill(Ok(JobOutput::Vector(y)));
-                        }
-                        Verdict::Done
-                    }
-                    Err(e) => {
-                        for slot in &job.slots {
-                            slot.fill(Err(RuntimeError::from(e.clone())));
-                        }
-                        Verdict::Done
-                    }
-                },
-            },
-            JobKind::MvmBatch { handle, xs } => match route(*handle) {
-                Route::Fail(e) => {
-                    job.slots[0].fill(Err(e));
-                    Verdict::Done
-                }
-                Route::Digital(m) => {
-                    let ys = xs.iter().map(|x| m.matvec(x)).collect();
-                    job.slots[0].fill(Ok(JobOutput::Vectors(ys)));
-                    self.degraded.fetch_add(1, Ordering::SeqCst);
-                    Verdict::Done
-                }
-                Route::Requeue(to) => Verdict::Requeue {
-                    to,
-                    kind: job.kind.clone(),
-                    slots: job.slots.clone(),
-                    meta: job.meta.clone(),
-                },
-                Route::Run(id) => match group.mvm_batch(id, xs) {
-                    Ok(ys) => {
-                        if !self.mvm_residuals_ok(group, id, xs, &ys) {
-                            return Verdict::Failed {
-                                kind: job.kind.clone(),
-                                slots: job.slots.clone(),
-                                meta: job.meta.clone(),
-                            };
-                        }
-                        job.slots[0].fill(Ok(JobOutput::Vectors(ys)));
-                        Verdict::Done
-                    }
-                    Err(e) => {
-                        job.slots[0].fill(Err(e.into()));
-                        Verdict::Done
-                    }
-                },
-            },
-            JobKind::SolveInv { handle, b } => match route(*handle) {
-                Route::Fail(e) => {
-                    job.slots[0].fill(Err(e));
-                    Verdict::Done
-                }
-                Route::Digital(m) => {
-                    job.slots[0].fill(Self::digital_solve(&m, b).map(JobOutput::Vector));
-                    self.degraded.fetch_add(1, Ordering::SeqCst);
-                    Verdict::Done
-                }
-                Route::Requeue(to) => Verdict::Requeue {
-                    to,
-                    kind: job.kind.clone(),
-                    slots: job.slots.clone(),
-                    meta: job.meta.clone(),
-                },
-                Route::Run(id) => match group.solve_inv(id, b) {
-                    Ok(x) => {
-                        if !self.solve_residuals_ok(
-                            group,
-                            id,
-                            std::slice::from_ref(b),
-                            std::slice::from_ref(&x),
-                        ) {
-                            return Verdict::Failed {
-                                kind: job.kind.clone(),
-                                slots: job.slots.clone(),
-                                meta: job.meta.clone(),
-                            };
-                        }
-                        job.slots[0].fill(Ok(JobOutput::Vector(x)));
-                        Verdict::Done
-                    }
-                    Err(e) => {
-                        job.slots[0].fill(Err(e.into()));
-                        Verdict::Done
-                    }
-                },
-            },
-            JobKind::SolveInvBatch { handle, bs } => match route(*handle) {
-                Route::Fail(e) => {
-                    job.slots[0].fill(Err(e));
-                    Verdict::Done
-                }
-                Route::Digital(m) => {
-                    let xs: Result<Vec<_>, _> =
-                        bs.iter().map(|b| Self::digital_solve(&m, b)).collect();
-                    job.slots[0].fill(xs.map(JobOutput::Vectors));
-                    self.degraded.fetch_add(1, Ordering::SeqCst);
-                    Verdict::Done
-                }
-                Route::Requeue(to) => Verdict::Requeue {
-                    to,
-                    kind: job.kind.clone(),
-                    slots: job.slots.clone(),
-                    meta: job.meta.clone(),
-                },
-                Route::Run(id) => match group.solve_inv_batch(id, bs) {
-                    Ok(xs) => {
-                        if !self.solve_residuals_ok(group, id, bs, &xs) {
-                            return Verdict::Failed {
-                                kind: job.kind.clone(),
-                                slots: job.slots.clone(),
-                                meta: job.meta.clone(),
-                            };
-                        }
-                        job.slots[0].fill(Ok(JobOutput::Vectors(xs)));
-                        Verdict::Done
-                    }
-                    Err(e) => {
-                        job.slots[0].fill(Err(e.into()));
-                        Verdict::Done
-                    }
-                },
-            },
-            JobKind::SolvePinvBatch { handle, bs } => match route(*handle) {
-                Route::Fail(e) => {
-                    job.slots[0].fill(Err(e));
-                    Verdict::Done
-                }
-                Route::Digital(m) => {
-                    let xs: Result<Vec<_>, _> =
-                        bs.iter().map(|b| Self::digital_least_squares(&m, b)).collect();
-                    job.slots[0].fill(xs.map(JobOutput::Vectors));
-                    self.degraded.fetch_add(1, Ordering::SeqCst);
-                    Verdict::Done
-                }
-                Route::Requeue(to) => Verdict::Requeue {
-                    to,
-                    kind: job.kind.clone(),
-                    slots: job.slots.clone(),
-                    meta: job.meta.clone(),
-                },
-                Route::Run(id) => match group.solve_pinv_batch(id, bs) {
-                    Ok(xs) => {
-                        if !self.pinv_residuals_ok(group, id, bs, &xs) {
-                            return Verdict::Failed {
-                                kind: job.kind.clone(),
-                                slots: job.slots.clone(),
-                                meta: job.meta.clone(),
-                            };
-                        }
-                        job.slots[0].fill(Ok(JobOutput::Vectors(xs)));
-                        Verdict::Done
-                    }
-                    Err(e) => {
-                        job.slots[0].fill(Err(e.into()));
-                        Verdict::Done
-                    }
-                },
-            },
+            JobKind::MvmMany { .. } => unreachable!("hydrated into MvmSet above"),
+            JobKind::Compute(work) => self.run_compute(group, job.shard, work, &job.slots),
             JobKind::Load { handle, matrix, mapping } => {
                 self.run_load(group, job, *handle, matrix, *mapping)
             }
@@ -1595,12 +1263,7 @@ impl Runtime {
                         job.slots[0].fill(Ok(JobOutput::Freed));
                         Verdict::Done
                     }
-                    Ok(FreeTarget::Moved(to)) => Verdict::Requeue {
-                        to,
-                        kind: job.kind.clone(),
-                        slots: job.slots.clone(),
-                        meta: job.meta.clone(),
-                    },
+                    Ok(FreeTarget::Moved(to)) => Verdict::Requeue(to),
                     Err(e) => {
                         job.slots[0].fill(Err(e));
                         Verdict::Done
@@ -1608,6 +1271,60 @@ impl Runtime {
                 }
             }
         }
+    }
+
+    /// The one compute arm: routes the job against the registry, then
+    /// answers it through its operation-table row — the analog batch call
+    /// plus residual check on its home shard, or the digital fallback for
+    /// a degraded operator.
+    fn run_compute(
+        &self,
+        group: &mut MacroGroup,
+        shard: usize,
+        work: &Compute,
+        slots: &[Arc<Slot>],
+    ) -> Verdict {
+        let op = work.kind.op();
+        match self.route(work.handle, shard) {
+            Route::Fail(e) => work.kind.deliver(slots, Err(e)),
+            Route::Digital(m) => self.answer_digitally(work, &m, slots),
+            Route::Requeue(to) => return Verdict::Requeue(to),
+            Route::Run(id) => match op.analog(group, id, &work.inputs) {
+                Ok(ys) if !self.residuals_ok(group, id, op, &work.inputs, &ys) => {
+                    return Verdict::Failed;
+                }
+                ys => work.kind.deliver(slots, ys.map_err(RuntimeError::from)),
+            },
+        }
+        Verdict::Done
+    }
+
+    /// Where a compute job against `handle` runs, resolved when it executes
+    /// on `shard`. A job whose operator is still homed on a *quarantined*
+    /// shard hit the migration window: bounce it (a requeue that burns no
+    /// retry) until the healer has relocated or demoted the operator,
+    /// instead of wasting analog dispatches — and the job's retries — on
+    /// arrays already known to be bad.
+    fn route(&self, handle: OperatorHandle, shard: usize) -> Route {
+        let reg = self.registry.lock().expect("registry lock");
+        match reg.exec_target(handle) {
+            Err(e) => Route::Fail(e),
+            Ok(ExecTarget::Digital(m)) => Route::Digital(m),
+            Ok(ExecTarget::Analog { shard: home, id }) => {
+                if home == shard && !reg.is_quarantined(home) {
+                    Route::Run(id)
+                } else {
+                    Route::Requeue(home)
+                }
+            }
+        }
+    }
+
+    /// Answers a compute job from the digital reference path on the
+    /// registry's kept matrix and counts the degraded dispatch.
+    fn answer_digitally(&self, work: &Compute, matrix: &Matrix, slots: &[Arc<Slot>]) {
+        self.degraded.fetch_add(1, Ordering::SeqCst);
+        work.kind.deliver(slots, work.kind.op().digital(matrix, &work.inputs));
     }
 
     /// The `Load` arm: places the matrix on the job's shard, enforcing the
@@ -1631,11 +1348,7 @@ impl Runtime {
         }
         let mut attempt = 0;
         loop {
-            let loaded = match mapping {
-                TileMapping::FourBit => group.load_matrix(matrix),
-                TileMapping::BitSlicedInt8 => group.load_matrix_bitsliced(matrix),
-            };
-            match loaded {
+            match group.load_mapped(matrix, mapping) {
                 Ok(id) => {
                     let program = group.operator_info(id).expect("just loaded").program;
                     if program.failure_frac() <= self.health_cfg.max_load_failure_frac {
@@ -1673,15 +1386,16 @@ impl Runtime {
 
     // ── health monitoring and recovery ────────────────────────────────
 
-    /// Whether every result of an MVM dispatch sits within the residual
-    /// tolerance of the operator's quantized target (always true with
-    /// checks disabled).
-    fn mvm_residuals_ok(
+    /// Whether every analog result passes its operation's residual check
+    /// against the operator's quantized target (always true with checks
+    /// disabled).
+    fn residuals_ok(
         &self,
         group: &MacroGroup,
         id: gramc_core::OperatorId,
-        xs: &[Vec<f64>],
-        ys: &[Vec<f64>],
+        op: Op,
+        inputs: &[Vec<f64>],
+        outputs: &[Vec<f64>],
     ) -> bool {
         let Some(tol) = self.health_cfg.residual_tolerance else {
             return true;
@@ -1689,67 +1403,7 @@ impl Runtime {
         let Ok(info) = group.operator_info(id) else {
             return true;
         };
-        xs.iter().zip(ys).all(|(x, y)| {
-            let y_ref = info.quantized.matvec(x);
-            vector::rel_error(y, &y_ref) <= tol
-        })
-    }
-
-    /// Whether every solve satisfies `‖A·x − b‖/‖b‖ ≤ tol` against the
-    /// quantized operator (always true with checks disabled).
-    fn solve_residuals_ok(
-        &self,
-        group: &MacroGroup,
-        id: gramc_core::OperatorId,
-        bs: &[Vec<f64>],
-        xs: &[Vec<f64>],
-    ) -> bool {
-        let Some(tol) = self.health_cfg.residual_tolerance else {
-            return true;
-        };
-        let Ok(info) = group.operator_info(id) else {
-            return true;
-        };
-        bs.iter().zip(xs).all(|(b, x)| {
-            let ax = info.quantized.matvec(x);
-            vector::rel_error(&ax, b) <= tol
-        })
-    }
-
-    /// Whether every PINV solution sits within the residual tolerance of
-    /// the digital least-squares answer on the quantized operator (always
-    /// true with checks disabled). `‖A·x − b‖` is not small for an
-    /// overdetermined system, so unlike [`solve_residuals_ok`]
-    /// (Self::solve_residuals_ok) the check compares solutions, not
-    /// residual norms.
-    fn pinv_residuals_ok(
-        &self,
-        group: &MacroGroup,
-        id: gramc_core::OperatorId,
-        bs: &[Vec<f64>],
-        xs: &[Vec<f64>],
-    ) -> bool {
-        let Some(tol) = self.health_cfg.residual_tolerance else {
-            return true;
-        };
-        let Ok(info) = group.operator_info(id) else {
-            return true;
-        };
-        bs.iter().zip(xs).all(|(b, x)| match qr::least_squares(&info.quantized, b) {
-            Ok(x_ref) => vector::rel_error(x, &x_ref) <= tol,
-            // A rank-deficient reference cannot arbitrate — pass the check.
-            Err(_) => true,
-        })
-    }
-
-    /// Digital-reference solve on the registry's kept matrix.
-    fn digital_solve(matrix: &Matrix, b: &[f64]) -> Result<Vec<f64>, RuntimeError> {
-        lu::solve(matrix, b).map_err(|e| RuntimeError::from(CoreError::from(e)))
-    }
-
-    /// Digital-reference least squares (the PINV fallback path).
-    fn digital_least_squares(matrix: &Matrix, b: &[f64]) -> Result<Vec<f64>, RuntimeError> {
-        qr::least_squares(matrix, b).map_err(|e| RuntimeError::from(CoreError::from(e)))
+        inputs.iter().zip(outputs).all(|(x, y)| op.residual_ok(&info.quantized, x, y, tol))
     }
 
     fn push_event(&self, event: HealthEvent) {
@@ -1789,75 +1443,36 @@ impl Runtime {
     /// the failure (possibly quarantining the shard), then re-dispatch the
     /// job to its operator's current home — or, out of retries, answer it
     /// from the digital reference path. Called outside all group locks.
-    fn handle_failure(
-        &self,
-        shard: usize,
-        retries: u32,
-        kind: JobKind,
-        slots: Vec<Arc<Slot>>,
-        meta: Vec<RequestMeta>,
-    ) {
-        self.note_failure(shard);
-        let Some(op) = kind.operator() else {
+    fn handle_failure(&self, job: Job) {
+        self.note_failure(job.shard);
+        let JobKind::Compute(work) = job.kind else {
             unreachable!("only compute jobs fail residual checks");
         };
-        if retries < self.health_cfg.max_retries {
-            match self.registry.lock().expect("registry lock").exec_target(op) {
+        if job.retries < self.health_cfg.max_retries {
+            match self.registry.lock().expect("registry lock").exec_target(work.handle) {
                 Ok(ExecTarget::Analog { shard: home, .. }) => {
                     #[cfg(feature = "telemetry")]
-                    self.telemetry.per_shard[shard].retries.fetch_add(1, Ordering::Relaxed);
-                    self.enqueue_job(home, kind, slots, meta, retries + 1);
+                    self.telemetry.per_shard[job.shard].retries.fetch_add(1, Ordering::Relaxed);
+                    let kind = JobKind::Compute(work);
+                    self.enqueue(home, kind, job.slots, job.meta, job.retries + 1);
                     return;
                 }
                 Ok(ExecTarget::Digital(_)) => {} // fall through to digital
-                Err(e) => {
-                    for slot in &slots {
-                        slot.fill(Err(e.clone()));
-                    }
-                    return;
-                }
+                Err(e) => return work.kind.deliver(&job.slots, Err(e)),
             }
         }
         // Out of retries (or the operator was degraded meanwhile): answer
         // digitally from the registry's matrix so the caller still gets a
         // result, and record the degradation.
-        let matrix = match self.registry.lock().expect("registry lock").matrix_and_mapping(op) {
-            Ok((m, _)) => m,
-            Err(e) => {
-                for slot in &slots {
-                    slot.fill(Err(e.clone()));
-                }
-                return;
+        match self.registry.lock().expect("registry lock").matrix_and_mapping(work.handle) {
+            Ok((matrix, _)) => {
+                self.push_event(HealthEvent::OperatorDegraded {
+                    op: work.handle,
+                    shard: job.shard,
+                });
+                self.answer_digitally(&work, &matrix, &job.slots);
             }
-        };
-        self.degraded.fetch_add(1, Ordering::SeqCst);
-        self.push_event(HealthEvent::OperatorDegraded { op, shard });
-        match kind {
-            JobKind::MvmSet { xs, .. } => {
-                for (slot, x) in slots.iter().zip(&xs) {
-                    slot.fill(Ok(JobOutput::Vector(matrix.matvec(x))));
-                }
-            }
-            JobKind::MvmBatch { xs, .. } => {
-                let ys = xs.iter().map(|x| matrix.matvec(x)).collect();
-                slots[0].fill(Ok(JobOutput::Vectors(ys)));
-            }
-            JobKind::SolveInv { b, .. } => {
-                slots[0].fill(Self::digital_solve(&matrix, &b).map(JobOutput::Vector));
-            }
-            JobKind::SolveInvBatch { bs, .. } => {
-                let xs: Result<Vec<_>, _> =
-                    bs.iter().map(|b| Self::digital_solve(&matrix, b)).collect();
-                slots[0].fill(xs.map(JobOutput::Vectors));
-            }
-            JobKind::SolvePinvBatch { bs, .. } => {
-                let xs: Result<Vec<_>, _> =
-                    bs.iter().map(|b| Self::digital_least_squares(&matrix, b)).collect();
-                slots[0].fill(xs.map(JobOutput::Vectors));
-            }
-            JobKind::MvmMany { .. } | JobKind::Load { .. } | JobKind::Free { .. } => {
-                unreachable!("these kinds never carry a Failed verdict")
-            }
+            Err(e) => work.kind.deliver(&job.slots, Err(e)),
         }
     }
 
@@ -1890,11 +1505,7 @@ impl Runtime {
             let target = self.registry.lock().expect("registry lock").migration_target();
             let migrated = target.and_then(|to| {
                 let mut group = self.shards[to].group.lock().expect("shard lock");
-                let loaded = match mapping {
-                    TileMapping::FourBit => group.load_matrix(&matrix),
-                    TileMapping::BitSlicedInt8 => group.load_matrix_bitsliced(&matrix),
-                };
-                loaded.ok().map(|new_id| (to, new_id))
+                group.load_mapped(&matrix, mapping).ok().map(|new_id| (to, new_id))
             });
             match migrated {
                 Some((to, new_id)) => {
@@ -2069,17 +1680,18 @@ enum Route {
 }
 
 /// What the recovery path must do after a job body ran (decided inside the
-/// group lock, acted on outside it).
+/// group lock, acted on outside it, where the job's payload, slots and
+/// attribution metadata ride along).
 #[derive(Debug)]
 enum Verdict {
     /// Slots filled; nothing to do.
     Done,
-    /// The operator lives elsewhere now — re-enqueue the job there with
-    /// the same retry count (attribution metadata rides along).
-    Requeue { to: usize, kind: JobKind, slots: Vec<Arc<Slot>>, meta: Vec<RequestMeta> },
+    /// The operator lives elsewhere now — re-enqueue the job toward this
+    /// shard with the same retry count.
+    Requeue(usize),
     /// The result failed its residual check — slots are unfilled; retry or
-    /// degrade per policy (attribution metadata rides along).
-    Failed { kind: JobKind, slots: Vec<Arc<Slot>>, meta: Vec<RequestMeta> },
+    /// degrade per policy.
+    Failed,
     /// Slots filled (with a typed error), but the shard should be flagged
     /// to the health monitor (a load that could not verify).
     ShardSuspect,

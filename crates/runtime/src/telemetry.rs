@@ -17,8 +17,19 @@ use gramc_telemetry::{EventJournal, HistogramSnapshot, HwCounters, HwSnapshot, L
 use crate::job::JobKind;
 use crate::tenant::{TenantEntry, TenantId};
 
-/// Stable display/index order of the job kinds.
-pub(crate) const KIND_NAMES: [&str; 8] = [
+/// The job-kind name table: each kind's stable label plus its journal
+/// span names (`job:<label>` for execution, `queued:<label>` for the
+/// queue-wait stage), all static so recording never allocates.
+macro_rules! kind_names {
+    ($($label:literal),* $(,)?) => {
+        /// Stable display/index order of the job kinds.
+        pub(crate) const KIND_NAMES: [&str; 8] = [$($label),*];
+        const KIND_SPAN_NAMES: [&str; 8] = [$(concat!("job:", $label)),*];
+        const KIND_QUEUED_NAMES: [&str; 8] = [$(concat!("queued:", $label)),*];
+    };
+}
+
+kind_names!(
     "mvm_many",
     "mvm_set",
     "mvm_batch",
@@ -27,17 +38,13 @@ pub(crate) const KIND_NAMES: [&str; 8] = [
     "solve_pinv_batch",
     "load",
     "free",
-];
+);
 
 /// Index of a job kind in [`KIND_NAMES`] / the per-kind aggregates.
 pub(crate) fn kind_index(kind: &JobKind) -> usize {
     match kind {
         JobKind::MvmMany { .. } => 0,
-        JobKind::MvmSet { .. } => 1,
-        JobKind::MvmBatch { .. } => 2,
-        JobKind::SolveInv { .. } => 3,
-        JobKind::SolveInvBatch { .. } => 4,
-        JobKind::SolvePinvBatch { .. } => 5,
+        JobKind::Compute(c) => c.kind as usize,
         JobKind::Load { .. } => 6,
         JobKind::Free { .. } => 7,
     }
@@ -49,33 +56,14 @@ pub(crate) fn kind_index(kind: &JobKind) -> usize {
 /// trace shows queueing per shard and occupancy per worker side by side.
 pub(crate) const WORKER_LANE_BASE: u64 = 1000;
 
-/// Journal span name of a job kind (static, so recording never allocates).
+/// Journal span name of a job kind's execution stage.
 pub(crate) fn kind_span_name(ix: usize) -> &'static str {
-    match ix {
-        0 => "job:mvm_many",
-        1 => "job:mvm_set",
-        2 => "job:mvm_batch",
-        3 => "job:solve_inv",
-        4 => "job:solve_inv_batch",
-        5 => "job:solve_pinv_batch",
-        6 => "job:load",
-        _ => "job:free",
-    }
+    KIND_SPAN_NAMES[ix]
 }
 
-/// Journal span name of a job kind's queue-wait stage (submit → dispatch),
-/// static for the same no-allocation reason.
+/// Journal span name of a job kind's queue-wait stage (submit → dispatch).
 pub(crate) fn kind_queued_name(ix: usize) -> &'static str {
-    match ix {
-        0 => "queued:mvm_many",
-        1 => "queued:mvm_set",
-        2 => "queued:mvm_batch",
-        3 => "queued:solve_inv",
-        4 => "queued:solve_inv_batch",
-        5 => "queued:solve_pinv_batch",
-        6 => "queued:load",
-        _ => "queued:free",
-    }
+    KIND_QUEUED_NAMES[ix]
 }
 
 /// Splits `total` into integer shares proportional to `weights`, summing
@@ -569,17 +557,23 @@ mod tests {
 
     #[test]
     fn kind_indices_match_names() {
+        use crate::job::Work;
         use crate::registry::OperatorHandle;
         let h = OperatorHandle(0);
+        let compute = |w: Work| kind_index(&JobKind::Compute(w.into_compute(h)));
         assert_eq!(kind_index(&JobKind::MvmMany { handle: h }), 0);
-        assert_eq!(kind_index(&JobKind::SolvePinvBatch { handle: h, bs: Vec::new() }), 5);
+        assert_eq!(compute(Work::Mvm(Vec::new())), 1);
+        assert_eq!(compute(Work::MvmBatch(Vec::new())), 2);
+        assert_eq!(compute(Work::SolveInv(Vec::new())), 3);
+        assert_eq!(compute(Work::SolveInvBatch(Vec::new())), 4);
+        assert_eq!(compute(Work::SolvePinvBatch(Vec::new())), 5);
         assert_eq!(kind_index(&JobKind::Free { handle: h }), 7);
-        assert_eq!(KIND_NAMES[0], "mvm_many");
-        assert_eq!(KIND_NAMES[5], "solve_pinv_batch");
-        assert_eq!(KIND_NAMES[7], "free");
-        for i in 0..KIND_NAMES.len() {
-            assert!(kind_span_name(i).ends_with(KIND_NAMES[i]));
-            assert!(kind_queued_name(i).ends_with(KIND_NAMES[i]));
+        let names =
+            "mvm_many mvm_set mvm_batch solve_inv solve_inv_batch solve_pinv_batch load free";
+        assert_eq!(KIND_NAMES.join(" "), names);
+        for (i, name) in KIND_NAMES.iter().enumerate() {
+            assert_eq!(kind_span_name(i), format!("job:{name}"));
+            assert_eq!(kind_queued_name(i), format!("queued:{name}"));
         }
     }
 

@@ -9,7 +9,7 @@
 use gramc_core::tiling::TileMapping;
 use gramc_core::MacroConfig;
 use gramc_linalg::random;
-use gramc_runtime::{Placement, Runtime, RuntimeError, TenantId, TenantQuota};
+use gramc_runtime::{Placement, Runtime, RuntimeError, TenantId, TenantQuota, Work};
 
 /// A runtime with one loaded seeded operator, drained (no server: batches
 /// coalesce deterministically until `run_all`).
@@ -54,22 +54,22 @@ fn tenant_quota_rejects_typed_and_frees_on_completion() {
     let polite = TenantId(2);
 
     // First submission opens the batch, second rides; both hold a slot.
-    let a = rt.submit_mvm_for(flood, op, x()).unwrap();
-    let b = rt.submit_mvm_for(flood, op, x()).unwrap();
-    let err = rt.submit_mvm_for(flood, op, x()).unwrap_err();
+    let a = rt.submit_for(flood, op, Work::Mvm(x())).unwrap();
+    let b = rt.submit_for(flood, op, Work::Mvm(x())).unwrap();
+    let err = rt.submit_for(flood, op, Work::Mvm(x())).unwrap_err();
     assert!(
         matches!(err, RuntimeError::QueueFull { limit: 2 }),
         "expected the quota as QueueFull {{ limit: 2 }}, got {err:?}"
     );
 
     // The flooding tenant backs up on itself; others are unaffected.
-    let c = rt.submit_mvm_for(polite, op, x()).expect("other tenants keep their own quota");
+    let c = rt.submit_for(polite, op, Work::Mvm(x())).expect("other tenants keep their own quota");
 
     rt.run_all();
     a.wait().unwrap();
     b.wait().unwrap();
     c.wait().unwrap();
-    rt.submit_mvm_for(flood, op, x()).expect("capacity frees when requests retire");
+    rt.submit_for(flood, op, Work::Mvm(x())).expect("capacity frees when requests retire");
     rt.run_all();
 
     #[cfg(feature = "telemetry")]
@@ -107,12 +107,12 @@ fn tenant_apis_are_bit_identical_to_plain_apis() {
         rt.run_all();
         loaded.wait().unwrap();
         let mvm = match tenant {
-            Some(t) => rt.submit_mvm_batch_for(t, op, xs.clone()),
+            Some(t) => rt.submit_for(t, op, Work::MvmBatch(xs.clone())),
             None => rt.submit_mvm_batch(op, xs.clone()),
         }
         .unwrap();
         let inv = match tenant {
-            Some(t) => rt.submit_solve_inv_for(t, op, b.clone()),
+            Some(t) => rt.submit_for(t, op, Work::SolveInv(b.clone())),
             None => rt.submit_solve_inv(op, b.clone()),
         }
         .unwrap();
@@ -141,7 +141,9 @@ fn tenant_hw_attribution_is_conservative_one_shard() {
     // per rider row.
     let handles: Vec<_> = [1, 1, 1, 2, 2]
         .iter()
-        .map(|&t| rt.submit_mvm_for(TenantId(t), op, random::normal_vector(&mut rng, 8)).unwrap())
+        .map(|&t| {
+            rt.submit_for(TenantId(t), op, Work::Mvm(random::normal_vector(&mut rng, 8))).unwrap()
+        })
         .collect();
     rt.run_all();
     for h in handles {
@@ -177,14 +179,21 @@ fn tenant_hw_attribution_is_conservative_across_shards() {
     }
     for (i, &op) in ops.iter().enumerate() {
         let t = TenantId(i as u32);
-        handles.push(rt.submit_mvm_for(t, op, random::normal_vector(&mut rng, dim)).unwrap());
+        handles
+            .push(rt.submit_for(t, op, Work::Mvm(random::normal_vector(&mut rng, dim))).unwrap());
         handles.push(
-            rt.submit_mvm_for(TenantId(2 - i as u32), op, random::normal_vector(&mut rng, dim))
-                .unwrap(),
+            rt.submit_for(
+                TenantId(2 - i as u32),
+                op,
+                Work::Mvm(random::normal_vector(&mut rng, dim)),
+            )
+            .unwrap(),
         );
         let xs: Vec<Vec<f64>> = (0..3).map(|_| random::normal_vector(&mut rng, dim)).collect();
-        handles.push(rt.submit_mvm_batch_for(t, op, xs).unwrap());
-        handles.push(rt.submit_solve_inv_for(t, op, random::normal_vector(&mut rng, dim)).unwrap());
+        handles.push(rt.submit_for(t, op, Work::MvmBatch(xs)).unwrap());
+        handles.push(
+            rt.submit_for(t, op, Work::SolveInv(random::normal_vector(&mut rng, dim))).unwrap(),
+        );
     }
     rt.run_all();
     for h in handles {
@@ -259,7 +268,8 @@ fn coalesced_riders_leave_linked_flow_events() {
     let mut rng = random::seeded_rng(62);
     let handles: Vec<_> = (0..4)
         .map(|i| {
-            rt.submit_mvm_for(TenantId(i % 2), op, random::normal_vector(&mut rng, 8)).unwrap()
+            rt.submit_for(TenantId(i % 2), op, Work::Mvm(random::normal_vector(&mut rng, 8)))
+                .unwrap()
         })
         .collect();
     rt.run_all();

@@ -3,9 +3,11 @@
 //! cross-shard tiling.
 
 use gramc_core::tiling::TileMapping;
-use gramc_core::{MacroConfig, MacroGroup};
-use gramc_linalg::{random, vector, Matrix};
-use gramc_runtime::{Placement, QueuePolicy, Runtime, RuntimeError, ShardedTiledOperator};
+use gramc_core::{CoreError, MacroConfig, MacroGroup};
+use gramc_linalg::{lu, qr, random, vector, Matrix};
+use gramc_runtime::{
+    HealthConfig, HealthEvent, Placement, QueuePolicy, Runtime, RuntimeError, ShardedTiledOperator,
+};
 
 /// The core correctness contract: with fixed seeds and pinned placement,
 /// the sharded runtime replays exactly what a lone `MacroGroup` would do —
@@ -284,6 +286,106 @@ fn non_finite_inputs_are_rejected_at_submission() {
     assert_eq!(summary.failed_checks, 0);
     assert_eq!(summary.degraded, 0);
     assert!(summary.events.is_empty());
+}
+
+/// Every compute kind checks its input lengths at submit time — `cols`
+/// for MVM, `rows` for INV/PINV — before admission takes any state: a
+/// malformed request gets a typed `ShapeMismatch` and no queue slot.
+#[test]
+fn wrong_length_inputs_are_rejected_at_submission() {
+    let rt = Runtime::new(1, 4, MacroConfig::small_ideal(6), 15);
+    let square = Matrix::from_fn(4, 4, |i, j| if i == j { 1.0 } else { 0.1 });
+    let tall = Matrix::from_fn(6, 4, |i, j| if i % 4 == j { 1.0 } else { 0.05 });
+    let sq = rt.load(&square, TileMapping::FourBit, Placement::Pinned(0)).unwrap();
+    let tl = rt.load(&tall, TileMapping::FourBit, Placement::Pinned(0)).unwrap();
+    // An open coalesced batch the malformed MVM must not join.
+    let good = rt.submit_mvm(tl, vec![1.0; 4]).unwrap();
+    let queued = rt.queued_jobs();
+
+    let shape = |r: Result<_, RuntimeError>, expected: usize, found: usize| {
+        assert!(
+            matches!(
+                r,
+                Err(RuntimeError::Core(CoreError::ShapeMismatch { expected: e, found: f }))
+                    if e == expected && f == found
+            ),
+            "expected ShapeMismatch {{ expected: {expected}, found: {found} }}, got {r:?}"
+        );
+        assert_eq!(rt.queued_jobs(), queued, "a rejected submission must not enqueue");
+    };
+    // The tall operator tells the lengths apart: MVM inputs are `cols`
+    // long, PINV right-hand sides `rows` long.
+    shape(rt.submit_mvm(tl, vec![1.0; 6]), 4, 6);
+    shape(rt.submit_mvm_batch(tl, vec![vec![1.0; 4], vec![1.0; 6]]), 4, 6);
+    shape(rt.submit_solve_inv(sq, vec![1.0; 3]), 4, 3);
+    shape(rt.submit_solve_inv_batch(sq, vec![vec![1.0; 4], vec![1.0; 5]]), 4, 5);
+    shape(rt.submit_solve_pinv_batch(tl, vec![vec![1.0; 4]]), 6, 4);
+
+    let summary = rt.run_all();
+    assert_eq!(summary.executed, 1, "only the good request's dispatch ran");
+    assert_eq!(good.wait_vector().unwrap().len(), 6);
+}
+
+/// Every compute kind's digital fallback, on both paths to it. A residual
+/// tolerance no analog result meets fails every check; with no retries,
+/// the first round of jobs falls back through the failure handler (the
+/// fifth failure quarantines the lone shard and demotes both operators),
+/// and the second round through the degraded route without touching the
+/// arrays. Every answer is the digital reference on the loaded matrix, bit
+/// for bit.
+#[test]
+fn every_compute_kind_falls_back_to_the_digital_reference() {
+    let health = HealthConfig {
+        residual_tolerance: Some(0.0),
+        quarantine_after: 5,
+        max_retries: 0,
+        ..HealthConfig::default()
+    };
+    let rt = Runtime::new(1, 4, MacroConfig::small_ideal(6), 31).with_health_config(health);
+    let mut rng = random::seeded_rng(33);
+    let a = random::spd_with_condition(&mut rng, 4, 3.0);
+    let p = random::gaussian_matrix(&mut rng, 6, 3);
+    let op_a = rt.load(&a, TileMapping::FourBit, Placement::Pinned(0)).unwrap();
+    let op_p = rt.load(&p, TileMapping::FourBit, Placement::Pinned(0)).unwrap();
+
+    let mut round = || {
+        let x = random::normal_vector(&mut rng, 4);
+        let xs: Vec<Vec<f64>> = (0..2).map(|_| random::normal_vector(&mut rng, 4)).collect();
+        let b = random::normal_vector(&mut rng, 4);
+        let bs: Vec<Vec<f64>> = (0..2).map(|_| random::normal_vector(&mut rng, 4)).collect();
+        let ps: Vec<Vec<f64>> = (0..2).map(|_| random::normal_vector(&mut rng, 6)).collect();
+        let h_mvm = rt.submit_mvm(op_a, x.clone()).unwrap();
+        let h_mvm_batch = rt.submit_mvm_batch(op_a, xs.clone()).unwrap();
+        let h_inv = rt.submit_solve_inv(op_a, b.clone()).unwrap();
+        let h_inv_batch = rt.submit_solve_inv_batch(op_a, bs.clone()).unwrap();
+        let h_pinv_batch = rt.submit_solve_pinv_batch(op_p, ps.clone()).unwrap();
+        let summary = rt.run_all();
+        assert_eq!(h_mvm.wait_vector().unwrap(), a.matvec(&x));
+        let ys: Vec<Vec<f64>> = xs.iter().map(|x| a.matvec(x)).collect();
+        assert_eq!(h_mvm_batch.wait_vectors().unwrap(), ys);
+        assert_eq!(h_inv.wait_vector().unwrap(), lu::solve(&a, &b).unwrap());
+        let inv: Vec<Vec<f64>> = bs.iter().map(|b| lu::solve(&a, b).unwrap()).collect();
+        assert_eq!(h_inv_batch.wait_vectors().unwrap(), inv);
+        let pinv: Vec<Vec<f64>> = ps.iter().map(|b| qr::least_squares(&p, b).unwrap()).collect();
+        assert_eq!(h_pinv_batch.wait_vectors().unwrap(), pinv);
+        summary
+    };
+
+    // Out of retries: five failed checks, five digital answers from the
+    // failure handler, plus the two operators demoted by the quarantine.
+    let first = round();
+    assert_eq!(first.failed_checks, 5);
+    assert_eq!(first.degraded, 5 + 2);
+    assert_eq!(rt.quarantined_shards(), vec![0]);
+    assert!(first.events.contains(&HealthEvent::ShardQuarantined { shard: 0, failures: 5 }));
+
+    // After quarantine: the degraded route answers all five kinds without
+    // an analog dispatch, so no check runs.
+    let second = round();
+    assert_eq!(second.failed_checks, 0);
+    assert_eq!(second.degraded, 5);
+    #[cfg(feature = "telemetry")]
+    assert_eq!(second.hw, Default::default(), "degraded jobs drive no hardware");
 }
 
 /// A load that exceeds shard capacity fails cleanly and rolls back the

@@ -13,7 +13,7 @@
 use gramc::core::tiling::TileMapping;
 use gramc::core::MacroConfig;
 use gramc::linalg::{random, vector};
-use gramc::runtime::{Placement, Runtime, RuntimeServer, ShardedTiledOperator};
+use gramc::runtime::{Placement, Runtime, RuntimeServer, ShardedTiledOperator, Work};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Four shards of four macros each, paper non-idealities at 32×32.
@@ -159,9 +159,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let acts: Vec<Vec<f64>> = (0..6)
                 .map(|_| (0..84).map(|_| random::standard_normal(&mut rng).abs()).collect())
                 .collect();
-            let inference = rt.submit_mvm_batch_for(LENET, cls_op, acts)?;
+            let inference = rt.submit_for(LENET, cls_op, Work::MvmBatch(acts))?;
             let solve =
-                rt.submit_solve_inv_for(SOLVER, spd_op, random::normal_vector(&mut rng, 32))?;
+                rt.submit_for(SOLVER, spd_op, Work::SolveInv(random::normal_vector(&mut rng, 32)))?;
             inference.wait()?;
             solve.wait()?;
             std::thread::sleep(Duration::from_millis(5));
