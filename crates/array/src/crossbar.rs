@@ -17,7 +17,6 @@ use crate::write_verify::ProgramOutcome;
 #[cfg(feature = "fault-inject")]
 use gramc_device::{FaultKind, FaultPlan};
 
-#[cfg(feature = "telemetry")]
 use gramc_telemetry::HwCounters;
 
 /// The paper's array dimension.
@@ -190,7 +189,6 @@ pub struct CrossbarArray {
     /// Hardware event counters (observation only — never touches RNG or
     /// math). Fresh per array; [`set_telemetry`](Self::set_telemetry)
     /// installs a shared sink so a macro group aggregates its arrays.
-    #[cfg(feature = "telemetry")]
     telemetry: Arc<HwCounters>,
 }
 
@@ -218,7 +216,6 @@ impl Clone for CrossbarArray {
             faults: self.faults.clone(),
             // A clone counts independently; owners sharing a sink re-install
             // it via `set_telemetry`.
-            #[cfg(feature = "telemetry")]
             telemetry: Arc::new(HwCounters::new()),
         }
     }
@@ -245,20 +242,17 @@ impl CrossbarArray {
             cache: Mutex::new(ConductanceCache::default()),
             #[cfg(feature = "fault-inject")]
             faults: None,
-            #[cfg(feature = "telemetry")]
             telemetry: Arc::new(HwCounters::new()),
         }
     }
 
     /// Installs a shared hardware-counter sink (e.g. one per macro group)
     /// so this array's events aggregate with its siblings'.
-    #[cfg(feature = "telemetry")]
     pub fn set_telemetry(&mut self, counters: Arc<HwCounters>) {
         self.telemetry = counters;
     }
 
     /// The array's hardware event counters.
-    #[cfg(feature = "telemetry")]
     pub fn telemetry(&self) -> &Arc<HwCounters> {
         &self.telemetry
     }
@@ -384,7 +378,6 @@ impl CrossbarArray {
         self.check_region(region)?;
         let mut cache = self.cache.lock().expect("cache lock poisoned");
         if let Some(pos) = cache.entries.iter().position(|s| s.region == region) {
-            #[cfg(feature = "telemetry")]
             self.telemetry.add_snapshot_hits(1);
             // Move to the back (most recently used).
             let mut snap = cache.entries.remove(pos);
@@ -392,7 +385,6 @@ impl CrossbarArray {
             cache.entries.push(snap);
             return Ok(out);
         }
-        #[cfg(feature = "telemetry")]
         self.telemetry.add_snapshot_misses(1);
         let g = self.build_effective_conductances(region)?;
         let mut snap = Snapshot { region, g, g_t: None };
@@ -645,11 +637,8 @@ impl CrossbarArray {
             });
         }
         // One settle event biases every cell of the region once.
-        #[cfg(feature = "telemetry")]
-        {
-            self.telemetry.add_settle_events(1);
-            self.telemetry.add_read_cycles_mvm((region.rows * region.cols) as u64);
-        }
+        self.telemetry.add_settle_events(1);
+        self.telemetry.add_read_cycles_mvm((region.rows * region.cols) as u64);
         let sigma = self.config.noise.read_rel_sigma;
         self.with_snapshot(region, |snap| {
             let g = &snap.g;
@@ -703,11 +692,8 @@ impl CrossbarArray {
             });
         }
         // One settle event per drive vector, each biasing the whole region.
-        #[cfg(feature = "telemetry")]
-        {
-            self.telemetry.add_settle_events(v_batch.rows() as u64);
-            self.telemetry.add_read_cycles_mvm((v_batch.rows() * region.rows * region.cols) as u64);
-        }
+        self.telemetry.add_settle_events(v_batch.rows() as u64);
+        self.telemetry.add_read_cycles_mvm((v_batch.rows() * region.rows * region.cols) as u64);
         let sigma = self.config.noise.read_rel_sigma;
         self.with_snapshot(region, |snap| {
             // Y = V · Gᵀ, with Gᵀ cached alongside the snapshot.
@@ -753,11 +739,8 @@ impl CrossbarArray {
                 found: (v_rows.len(), 1),
             });
         }
-        #[cfg(feature = "telemetry")]
-        {
-            self.telemetry.add_settle_events(1);
-            self.telemetry.add_read_cycles_mvm((region.rows * region.cols) as u64);
-        }
+        self.telemetry.add_settle_events(1);
+        self.telemetry.add_read_cycles_mvm((region.rows * region.cols) as u64);
         let sigma = self.config.noise.read_rel_sigma;
         self.with_snapshot(region, |snap| {
             let g = &snap.g;
@@ -804,11 +787,8 @@ impl CrossbarArray {
                 found: v_batch.shape(),
             });
         }
-        #[cfg(feature = "telemetry")]
-        {
-            self.telemetry.add_settle_events(v_batch.rows() as u64);
-            self.telemetry.add_read_cycles_mvm((v_batch.rows() * region.rows * region.cols) as u64);
-        }
+        self.telemetry.add_settle_events(v_batch.rows() as u64);
+        self.telemetry.add_read_cycles_mvm((v_batch.rows() * region.rows * region.cols) as u64);
         let sigma = self.config.noise.read_rel_sigma;
         self.with_snapshot(region, |snap| {
             // Y = V · G (no transpose needed for the column direction).
@@ -867,12 +847,9 @@ impl CrossbarArray {
         self.invalidate_cache();
         // Direct programming models one blind write pulse per cell (the
         // pulse-level path counts its measured pulse total instead).
-        #[cfg(feature = "telemetry")]
-        {
-            let cells = (region.rows * region.cols) as u64;
-            self.telemetry.add_write_cycles(cells);
-            self.telemetry.add_write_pulses(cells);
-        }
+        let cells = (region.rows * region.cols) as u64;
+        self.telemetry.add_write_cycles(cells);
+        self.telemetry.add_write_pulses(cells);
         let mut failures = 0;
         for i in 0..region.rows {
             for j in 0..region.cols {

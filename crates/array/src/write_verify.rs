@@ -337,11 +337,8 @@ impl WriteVerifyController {
                 cells.push(rep);
             }
         }
-        #[cfg(feature = "telemetry")]
-        {
-            array.telemetry().add_write_cycles(cells.len() as u64);
-            array.telemetry().add_write_pulses(total_pulses as u64);
-        }
+        array.telemetry().add_write_cycles(cells.len() as u64);
+        array.telemetry().add_write_pulses(total_pulses as u64);
         Ok(ProgramReport { cells, total_pulses, failures })
     }
 

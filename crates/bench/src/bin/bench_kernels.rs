@@ -490,6 +490,12 @@ fn main() {
         let regressed = match &baseline_path {
             Some(p) => {
                 let baseline = std::fs::read_to_string(p).expect("read baseline json");
+                // An unparseable baseline must fail the gate, not read as "no
+                // baseline entry" for every kernel.
+                if let Err(e) = gramc_bench::json::parse(&baseline) {
+                    eprintln!("perf gate FAILED: baseline {p} is not valid JSON: {e}");
+                    std::process::exit(1);
+                }
                 perf_regression_check(&baseline, &mut samples, &mut extra_meta)
             }
             None => Vec::new(),

@@ -1,10 +1,11 @@
-//! A minimal recursive-descent JSON parser for the offline analysis
-//! tooling (`trace_analyze`). The container has no serde, and the
-//! artifacts it reads — `TRACE_serving.json` and the metrics JSONL
-//! stream — are machine-written by this workspace, so the parser only
-//! needs honest JSON: objects, arrays, strings with the two escapes the
-//! writers emit, numbers (including the `{:e}` scientific form), bools
-//! and null. It still *validates* — a truncated or malformed artifact is
+//! A minimal recursive-descent JSON parser, the workspace's one JSON
+//! reader: `trace_analyze` reads its artifacts through it and the perf
+//! gate reads its `BENCH_kernels.json` baseline through it. There is no
+//! serde offline, and the documents it reads — `TRACE_serving.json`, the
+//! metrics JSONL stream and the kernel baseline — are machine-written by
+//! this workspace, so the parser only needs honest JSON: objects, arrays,
+//! strings with the two escapes the writers emit, numbers (including the
+//! `{:e}` scientific form), bools and null. It still *validates* — a truncated or malformed artifact is
 //! a typed [`JsonError`], which is exactly what CI's `--check` mode wants
 //! to catch.
 

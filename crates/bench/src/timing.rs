@@ -122,8 +122,9 @@ pub fn to_json(meta: &[(&str, String)], samples: &[Sample]) -> String {
     let mut out = String::from("{\n  \"meta\": {\n");
     for (i, (k, v)) in meta.iter().enumerate() {
         let comma = if i + 1 < meta.len() { "," } else { "" };
-        // Numbers pass through unquoted; everything else is a string.
-        if v.parse::<f64>().is_ok() {
+        // Finite numbers pass through unquoted; everything else, `NaN` and
+        // `inf` included, is a string, so the document stays valid JSON.
+        if v.parse::<f64>().is_ok_and(f64::is_finite) {
             let _ = writeln!(out, "    \"{}\": {}{}", esc(k), v, comma);
         } else {
             let _ = writeln!(out, "    \"{}\": \"{}\"{}", esc(k), esc(v), comma);
@@ -146,36 +147,14 @@ pub fn to_json(meta: &[(&str, String)], samples: &[Sample]) -> String {
     out
 }
 
-/// Reads one kernel's `mean_ms` back out of a [`to_json`]-shaped document.
-///
-/// Hand-rolled for the same offline reason as the writer; tolerant of
-/// surrounding whitespace and key order. Returns `None` when the kernel is
-/// absent or the number is malformed — callers treat that as "no baseline".
+/// Reads one kernel's `mean_ms` (`kernels.<kernel>.mean_ms`) back out of
+/// a [`to_json`]-shaped document through the validating
+/// [`json::parse`](crate::json::parse). Returns `None` when the document
+/// does not parse or the kernel or its number is absent; the `bench_kernels`
+/// perf gate rejects an unparseable baseline up front, so there `None`
+/// means "no baseline entry for this kernel".
 pub fn read_mean_ms(json: &str, kernel: &str) -> Option<f64> {
-    let key = format!("\"{kernel}\":");
-    let rest = &json[json.find(&key)? + key.len()..];
-    let rest = &rest[rest.find("\"mean_ms\":")? + "\"mean_ms\":".len()..];
-    let end = rest.find([',', '}'])?;
-    rest[..end].trim().parse().ok()
-}
-
-/// Reads one metadata key's value back out of a [`to_json`]-shaped
-/// document (the sibling of [`read_mean_ms`] for the `meta` section).
-///
-/// The value comes back as its raw text with any surrounding quotes
-/// stripped, so numbers and strings read uniformly. Returns `None` when
-/// the document has no `meta` section or the key is absent from it —
-/// callers treat that as "not annotated".
-pub fn read_meta_value(json: &str, key: &str) -> Option<String> {
-    // Stay inside the meta object so a kernel of the same name (the
-    // kernels section always follows meta) can never shadow the key.
-    let meta = &json[json.find("\"meta\"")?..];
-    let meta = &meta[..meta.find("\"kernels\"").unwrap_or(meta.len())];
-    let pat = format!("\"{key}\":");
-    let rest = &meta[meta.find(&pat)? + pat.len()..];
-    let line = rest.lines().next()?;
-    let value = line.trim().trim_end_matches(',').trim().trim_matches('"');
-    Some(value.to_string())
+    crate::json::parse(json).ok()?.get("kernels")?.get(kernel)?.num("mean_ms")
 }
 
 #[cfg(test)]
@@ -193,9 +172,18 @@ mod tests {
     #[test]
     fn json_shape_is_wellformed() {
         let samples = vec![Sample { name: "k\"1".into(), iters: 3, mean_ns: 1.5e6, min_ns: 1.0e6 }];
-        let j = to_json(&[("dim", "128".into()), ("host", "ci".into())], &samples);
+        let meta = [
+            ("dim", "128".into()),
+            ("host", "ci".into()),
+            ("err", format!("{:.6}", f64::NAN)),
+            ("peak", "inf".into()),
+        ];
+        let j = to_json(&meta, &samples);
         assert!(j.contains("\"dim\": 128"));
         assert!(j.contains("\"host\": \"ci\""));
+        assert!(j.contains("\"err\": \"NaN\""));
+        assert!(j.contains("\"peak\": \"inf\""));
+        assert!(crate::json::parse(&j).is_ok(), "non-finite meta must not break the document");
         assert!(j.contains("\"k\\\"1\""));
         assert!(j.contains("\"mean_ms\": 1.500000"));
         // Balanced braces.
@@ -213,24 +201,6 @@ mod tests {
         assert_eq!(read_mean_ms(&j, "lu"), Some(2.0));
         assert_eq!(read_mean_ms(&j, "absent"), None);
         assert_eq!(read_mean_ms("not json", "matmul_512"), None);
-    }
-
-    #[test]
-    fn read_meta_value_round_trips_through_to_json() {
-        let samples =
-            vec![Sample { name: "overhead_only".into(), iters: 1, mean_ns: 1e6, min_ns: 1e6 }];
-        let meta = [
-            ("bench", "bench_kernels".into()),
-            ("host_cpus", "4".into()),
-            ("overhead_only", "true".into()),
-        ];
-        let j = to_json(&meta, &samples);
-        assert_eq!(read_meta_value(&j, "bench").as_deref(), Some("bench_kernels"));
-        assert_eq!(read_meta_value(&j, "host_cpus").as_deref(), Some("4"));
-        // A kernel named like a meta key must not shadow the meta section.
-        assert_eq!(read_meta_value(&j, "overhead_only").as_deref(), Some("true"));
-        assert_eq!(read_meta_value(&j, "absent"), None);
-        assert_eq!(read_meta_value("not json", "bench"), None);
     }
 
     #[test]

@@ -36,7 +36,6 @@ pub use amc_macro::{
 pub use converter::{Adc, Dac};
 pub use error::CoreError;
 pub use gramc_array::ProgramOutcome;
-#[cfg(feature = "telemetry")]
 pub use gramc_telemetry::{HwCounters, HwSnapshot};
 
 pub use functional::{argmax, pool2d, requantize, softmax, Activation, Pooling};

@@ -105,7 +105,6 @@ impl AnalogCostModel {
     /// Latency sums settling and write intervals (MVM settles, solve
     /// settles, 30 ns write pulses); energy sums converter events plus the
     /// array bias energy of every cell-read cycle over its settling window.
-    #[cfg(feature = "telemetry")]
     pub fn attribute(&self, hw: &gramc_telemetry::HwSnapshot) -> Cost {
         let pulse_width = 30e-9;
         Cost {
@@ -328,7 +327,6 @@ mod tests {
         assert!((c.energy - cells * 20.0 * m.write_pulse_energy).abs() < 1e-18);
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn attribution_matches_hand_computation() {
         let m = AnalogCostModel::default();

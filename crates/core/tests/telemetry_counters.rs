@@ -10,8 +10,6 @@
 //! INV solve settles the feedback loop once per ranging attempt, and
 //! direct programming issues one blind write pulse per cell.
 
-#![cfg(feature = "telemetry")]
-
 use gramc_core::isa::{BufferRef, Instruction};
 use gramc_core::system::GramcSystem;
 use gramc_core::{HwSnapshot, MacroConfig, MacroGroup};

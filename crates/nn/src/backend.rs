@@ -90,7 +90,6 @@ impl GramcLenet {
     /// (every analog event of every inference since construction). Diff two
     /// snapshots with [`HwSnapshot::since`](gramc_core::HwSnapshot::since)
     /// to meter one workload.
-    #[cfg(feature = "telemetry")]
     pub fn hw_snapshot(&self) -> gramc_core::HwSnapshot {
         self.group.hw_snapshot()
     }

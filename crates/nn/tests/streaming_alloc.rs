@@ -110,7 +110,6 @@ fn streamed_allocation_count_does_not_scale_with_batch_size() {
 /// advance the counters by the same (nonzero) delta and spend exactly the
 /// same number of heap allocations — relaxed atomic increments, no boxing,
 /// no logging.
-#[cfg(feature = "telemetry")]
 #[test]
 fn telemetry_meters_the_stream_without_allocating() {
     let config =

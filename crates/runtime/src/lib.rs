@@ -113,10 +113,9 @@
 //!
 //! ## Observability
 //!
-//! With the `telemetry` feature (on by default) the runtime meters itself
-//! without perturbing results — counters never touch the RNG or the math,
-//! so a telemetered run is bit-identical to a `--no-default-features
-//! --features parallel` build. Four surfaces:
+//! The runtime always meters itself, without perturbing results: counters
+//! never touch the RNG or the math, so outputs are pinned by the same
+//! golden checksums as before the counters existed. Four surfaces:
 //!
 //! * **Hardware counters** — every analog event (DAC drives, ADC
 //!   conversions, settles, write pulses, cell read/write cycles,
@@ -277,9 +276,7 @@ mod job;
 mod registry;
 mod runtime;
 mod server;
-#[cfg(feature = "telemetry")]
 mod slo;
-#[cfg(feature = "telemetry")]
 mod telemetry;
 mod tenant;
 mod tiling;
@@ -289,22 +286,17 @@ pub use health::{HealthConfig, HealthEvent};
 pub use job::{JobHandle, JobOutput, Work};
 pub use registry::{OperatorHandle, Placement};
 pub use runtime::{QueuePolicy, RunSummary, Runtime};
-pub use server::{RuntimeServer, ServeReport};
+pub use server::{MetricsReporter, RuntimeServer, ServeReport};
 pub use tenant::{RequestId, TenantId, TenantQuota};
 pub use tiling::ShardedTiledOperator;
 
 pub use gramc_core::{ProbeReport, ProgramOutcome};
 
-#[cfg(feature = "telemetry")]
-pub use server::MetricsReporter;
-#[cfg(feature = "telemetry")]
 pub use slo::{SloAlert, SloAlertKind, SloConfig, SloMonitor};
-#[cfg(feature = "telemetry")]
 pub use telemetry::{
     KindMetrics, MetricsSnapshot, ShardMetrics, SloMetrics, TenantMetrics, METRICS_SCHEMA_VERSION,
 };
 
-#[cfg(feature = "telemetry")]
 pub use gramc_telemetry::{
     EventJournal, FlowPhase, HistogramSnapshot, HwCounters, HwSnapshot, JournalEvent,
     LatencyHistogram,

@@ -11,7 +11,6 @@ use gramc_core::tiling::TileMapping;
 use gramc_core::FaultConfig;
 use gramc_core::{CoreError, MacroConfig, MacroGroup, ProbeReport};
 use gramc_linalg::Matrix;
-#[cfg(feature = "telemetry")]
 use gramc_telemetry::{FlowPhase, HwSnapshot, JournalEvent};
 
 use crate::error::RuntimeError;
@@ -20,7 +19,6 @@ use crate::job::{
     Compute, ComputeKind, Job, JobHandle, JobKind, JobOutput, Op, RequestMeta, Slot, Work,
 };
 use crate::registry::{ExecTarget, FreeTarget, OperatorHandle, Placement, Registry};
-#[cfg(feature = "telemetry")]
 use crate::telemetry::{
     kind_index, kind_queued_name, kind_span_name, split_hw, MetricsSnapshot, RtTelemetry,
     WORKER_LANE_BASE,
@@ -63,11 +61,9 @@ pub struct RunSummary {
     pub events: Vec<HealthEvent>,
     /// Hardware events this drain's job bodies caused (snapshot-diffed
     /// under each shard's group lock, so the attribution is exact).
-    #[cfg(feature = "telemetry")]
     pub hw: HwSnapshot,
 }
 
-#[cfg(feature = "telemetry")]
 impl RunSummary {
     /// Modeled analog latency/energy of this drain's hardware events.
     pub fn analog_cost(
@@ -160,7 +156,6 @@ pub struct Runtime {
     events: Mutex<Vec<HealthEvent>>,
     failed_checks: AtomicUsize,
     degraded: AtomicUsize,
-    #[cfg(feature = "telemetry")]
     telemetry: RtTelemetry,
 }
 
@@ -223,7 +218,6 @@ impl Runtime {
             events: Mutex::new(Vec::new()),
             failed_checks: AtomicUsize::new(0),
             degraded: AtomicUsize::new(0),
-            #[cfg(feature = "telemetry")]
             telemetry: RtTelemetry::new(shards),
         }
     }
@@ -293,7 +287,6 @@ impl Runtime {
     /// events). Serving runs dense enough to wrap the default ring surface
     /// a non-zero drop rate in the metrics stream — size the ring to the
     /// run instead of losing the early spans.
-    #[cfg(feature = "telemetry")]
     #[must_use]
     pub fn with_journal_capacity(mut self, capacity: usize) -> Self {
         self.telemetry.journal = gramc_telemetry::EventJournal::new(capacity);
@@ -316,11 +309,8 @@ impl Runtime {
         if !entry.try_acquire(limit) {
             let limit = limit.expect("acquire only fails under a quota");
             entry.rejected.fetch_add(1, Ordering::Relaxed);
-            #[cfg(feature = "telemetry")]
-            {
-                self.telemetry.rejected.fetch_add(1, Ordering::Relaxed);
-                self.telemetry.journal.instant("rejected_tenant", "runtime", limit as u64, 0);
-            }
+            self.telemetry.rejected.fetch_add(1, Ordering::Relaxed);
+            self.telemetry.journal.instant("rejected_tenant", "runtime", limit as u64, 0);
             return Err(RuntimeError::QueueFull { limit });
         }
         entry.requests.fetch_add(1, Ordering::Relaxed);
@@ -336,11 +326,8 @@ impl Runtime {
             return Ok(());
         };
         if self.remaining.load(Ordering::SeqCst) >= limit {
-            #[cfg(feature = "telemetry")]
-            {
-                self.telemetry.rejected.fetch_add(1, Ordering::Relaxed);
-                self.telemetry.journal.instant("rejected", "runtime", limit as u64, 0);
-            }
+            self.telemetry.rejected.fetch_add(1, Ordering::Relaxed);
+            self.telemetry.journal.instant("rejected", "runtime", limit as u64, 0);
             return Err(RuntimeError::QueueFull { limit });
         }
         Ok(())
@@ -423,30 +410,24 @@ impl Runtime {
         let mut queue = self.queues[q].lock().expect("queue lock");
         let ticket = self.shards[shard].next_ticket.fetch_add(1, Ordering::SeqCst);
         let prev_depth = self.remaining.fetch_add(1, Ordering::SeqCst);
-        #[cfg(feature = "telemetry")]
         let submit_ns = self.telemetry.journal.now_ns();
-        #[cfg(feature = "telemetry")]
-        {
-            // Riders stamp themselves at their own submission; the job's
-            // requests are stamped here, at ticket assignment (a
-            // re-dispatch restamps — per-dispatch latency, matching the
-            // serving histograms).
-            for m in &mut meta {
-                m.submit_ns = submit_ns;
-            }
-            self.telemetry.queue_depth_max.fetch_max(prev_depth + 1, Ordering::Relaxed);
-            self.telemetry.journal.record(JournalEvent {
-                name: "submit",
-                category: "runtime",
-                ts_ns: submit_ns,
-                dur_ns: 0,
-                arg_a: shard as u64,
-                arg_b: ticket,
-                ..JournalEvent::default()
-            });
+        // Riders stamp themselves at their own submission; the job's
+        // requests are stamped here, at ticket assignment (a
+        // re-dispatch restamps — per-dispatch latency, matching the
+        // serving histograms).
+        for m in &mut meta {
+            m.submit_ns = submit_ns;
         }
-        #[cfg(not(feature = "telemetry"))]
-        let _ = prev_depth;
+        self.telemetry.queue_depth_max.fetch_max(prev_depth + 1, Ordering::Relaxed);
+        self.telemetry.journal.record(JournalEvent {
+            name: "submit",
+            category: "runtime",
+            ts_ns: submit_ns,
+            dur_ns: 0,
+            arg_a: shard as u64,
+            arg_b: ticket,
+            ..JournalEvent::default()
+        });
         queue.push_back(Job {
             shard,
             ticket,
@@ -454,9 +435,7 @@ impl Runtime {
             slots,
             meta,
             retries,
-            #[cfg(feature = "telemetry")]
             submitted: std::time::Instant::now(),
-            #[cfg(feature = "telemetry")]
             submit_ns,
         });
         drop(queue);
@@ -622,7 +601,6 @@ impl Runtime {
         let ((), jh, meta) = self.admit_request(tenant, 1, opens_batch, || Ok(()))?;
         // Riders stamp their own submission time — their queue wait starts
         // here, not at the batch's ticket.
-        #[cfg(feature = "telemetry")]
         let meta = RequestMeta { submit_ns: self.telemetry.journal.now_ns(), ..meta };
         batch.xs.push(x);
         batch.slots.push(jh.slot.clone());
@@ -633,7 +611,6 @@ impl Runtime {
             self.enqueue(shard, JobKind::MvmMany { handle: op }, Vec::new(), Vec::new(), 0);
         } else {
             // Joined an already-open batch: no new job, just one more rider.
-            #[cfg(feature = "telemetry")]
             self.telemetry.journal.instant(
                 "coalesce",
                 "runtime",
@@ -853,7 +830,6 @@ impl Runtime {
         let stolen_before = self.stolen.load(Ordering::SeqCst);
         let failed_before = self.failed_checks.load(Ordering::SeqCst);
         let degraded_before = self.degraded.load(Ordering::SeqCst);
-        #[cfg(feature = "telemetry")]
         let hw_before = self.telemetry.kind_hw_total();
         self.drain();
         let per_worker: Vec<usize> = self
@@ -869,7 +845,6 @@ impl Runtime {
             failed_checks: self.failed_checks.load(Ordering::SeqCst) - failed_before,
             degraded: self.degraded.load(Ordering::SeqCst) - degraded_before,
             events: std::mem::take(&mut *self.events.lock().expect("events lock")),
-            #[cfg(feature = "telemetry")]
             hw: self.telemetry.kind_hw_total().since(&hw_before),
         }
     }
@@ -880,7 +855,6 @@ impl Runtime {
     /// histograms, the queue-depth high-water mark, per-shard scheduler
     /// counters and per-job-kind hardware attribution. Cheap (atomic
     /// loads); callable at any time, including between drains.
-    #[cfg(feature = "telemetry")]
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot::capture(
             &self.telemetry,
@@ -890,7 +864,6 @@ impl Runtime {
     }
 
     /// The telemetry sink, for in-crate observers (the SLO monitor).
-    #[cfg(feature = "telemetry")]
     pub(crate) fn rt_telemetry(&self) -> &RtTelemetry {
         &self.telemetry
     }
@@ -901,7 +874,6 @@ impl Runtime {
     /// driven through [`shard_group`](Self::shard_group) directly. Briefly
     /// locks each
     /// group in turn — do not call while holding a shard group guard.
-    #[cfg(feature = "telemetry")]
     pub fn hw_snapshot(&self) -> HwSnapshot {
         let mut total = HwSnapshot::default();
         for s in &self.shards {
@@ -912,7 +884,6 @@ impl Runtime {
 
     /// The event journal (job spans, coalesce/submit instants, health
     /// events) exported in chrome://tracing trace-event JSON.
-    #[cfg(feature = "telemetry")]
     pub fn journal_chrome_trace(&self) -> String {
         self.telemetry.journal.to_chrome_trace()
     }
@@ -1054,7 +1025,6 @@ impl Runtime {
             if let Some(idx) = queue.iter().rposition(|job| self.is_due(job)) {
                 let job = queue.remove(idx).expect("index from rposition");
                 self.stolen.fetch_add(1, Ordering::SeqCst);
-                #[cfg(feature = "telemetry")]
                 self.telemetry.per_shard[job.shard].steals.fetch_add(1, Ordering::Relaxed);
                 return Some(job);
             }
@@ -1084,23 +1054,15 @@ impl Runtime {
         //
         // `kind_ix` is taken *before* hydration turns an `MvmMany` into an
         // `MvmSet`, so coalesced batches keep attributing as `mvm_many`.
-        #[cfg(feature = "telemetry")]
         let (dispatched, span_start, kind_ix) =
             (std::time::Instant::now(), self.telemetry.journal.now_ns(), kind_index(&job.kind));
         let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let mut group = shard.group.lock().expect("shard lock");
             // Snapshot-diff under the shard lock: no other job of this
             // shard can interleave, so the delta is exactly this job's.
-            #[cfg(feature = "telemetry")]
-            {
-                let hw_before = group.hw_snapshot();
-                let verdict = self.run_kind(&mut group, &mut job);
-                (verdict, group.hw_snapshot().since(&hw_before))
-            }
-            #[cfg(not(feature = "telemetry"))]
-            {
-                self.run_kind(&mut group, &mut job)
-            }
+            let hw_before = group.hw_snapshot();
+            let verdict = self.run_kind(&mut group, &mut job);
+            (verdict, group.hw_snapshot().since(&hw_before))
         }));
         shard.exec_ticket.store(job.ticket + 1, Ordering::SeqCst);
         self.executed[w].fetch_add(1, Ordering::SeqCst);
@@ -1109,7 +1071,6 @@ impl Runtime {
         // tenant split — each rider's share proportional to its row
         // weight, remainder-exact, so the tenant totals always sum to the
         // per-kind totals bit-for-bit.
-        #[cfg(feature = "telemetry")]
         let run = run.map(|(verdict, delta)| {
             self.telemetry.record_job(kind_ix, &delta);
             if !job.meta.is_empty() {
@@ -1121,78 +1082,73 @@ impl Runtime {
             }
             verdict
         });
-        #[cfg(feature = "telemetry")]
-        {
-            let completed = std::time::Instant::now();
-            let exec_ns = completed.duration_since(dispatched).as_nanos() as u64;
-            let t = &self.telemetry;
-            t.submit_to_dispatch
-                .record_ns(dispatched.duration_since(job.submitted).as_nanos() as u64);
-            t.dispatch_to_complete.record_ns(exec_ns);
-            t.submit_to_complete
-                .record_ns(completed.duration_since(job.submitted).as_nanos() as u64);
-            t.per_shard[job.shard].busy_ns.fetch_add(exec_ns, Ordering::Relaxed);
-            let exec_dur = exec_ns.max(1);
-            let end_ns = span_start + exec_dur;
-            // Per-tenant latency: one record per riding request, per
-            // dispatch (a re-dispatched job restarts the clock, matching
-            // the global serving histograms).
-            for m in &job.meta {
-                self.tenants.entry(m.tenant).latency.record_ns(end_ns.saturating_sub(m.submit_ns));
-            }
-            // The submit→complete breakdown as two abutting duration spans:
-            // the queue wait on the job's shard lane, the execution on the
-            // executing worker's lane. The queued span doubles as the lead
-            // request's flow *start*; riders of a hydrated coalesced batch
-            // get their own queue-wait span (their wait began at their own
-            // submission) starting their own flow.
-            let lead_flow = job.meta.first().map_or(0, |m| m.request.0);
+        let completed = std::time::Instant::now();
+        let exec_ns = completed.duration_since(dispatched).as_nanos() as u64;
+        let t = &self.telemetry;
+        t.submit_to_dispatch.record_ns(dispatched.duration_since(job.submitted).as_nanos() as u64);
+        t.dispatch_to_complete.record_ns(exec_ns);
+        t.submit_to_complete.record_ns(completed.duration_since(job.submitted).as_nanos() as u64);
+        t.per_shard[job.shard].busy_ns.fetch_add(exec_ns, Ordering::Relaxed);
+        let exec_dur = exec_ns.max(1);
+        let end_ns = span_start + exec_dur;
+        // Per-tenant latency: one record per riding request, per
+        // dispatch (a re-dispatched job restarts the clock, matching
+        // the global serving histograms).
+        for m in &job.meta {
+            self.tenants.entry(m.tenant).latency.record_ns(end_ns.saturating_sub(m.submit_ns));
+        }
+        // The submit→complete breakdown as two abutting duration spans:
+        // the queue wait on the job's shard lane, the execution on the
+        // executing worker's lane. The queued span doubles as the lead
+        // request's flow *start*; riders of a hydrated coalesced batch
+        // get their own queue-wait span (their wait began at their own
+        // submission) starting their own flow.
+        let lead_flow = job.meta.first().map_or(0, |m| m.request.0);
+        t.journal.record(JournalEvent {
+            name: kind_queued_name(kind_ix),
+            category: "runtime",
+            ts_ns: job.submit_ns,
+            dur_ns: span_start.saturating_sub(job.submit_ns).max(1),
+            arg_a: job.shard as u64,
+            arg_b: job.ticket,
+            flow: if lead_flow == 0 { FlowPhase::None } else { FlowPhase::Start },
+            flow_id: lead_flow,
+        });
+        for m in job.meta.iter().skip(1) {
             t.journal.record(JournalEvent {
-                name: kind_queued_name(kind_ix),
+                name: "queued:rider",
                 category: "runtime",
-                ts_ns: job.submit_ns,
-                dur_ns: span_start.saturating_sub(job.submit_ns).max(1),
+                ts_ns: m.submit_ns,
+                dur_ns: span_start.saturating_sub(m.submit_ns).max(1),
                 arg_a: job.shard as u64,
                 arg_b: job.ticket,
-                flow: if lead_flow == 0 { FlowPhase::None } else { FlowPhase::Start },
-                flow_id: lead_flow,
+                flow: FlowPhase::Start,
+                flow_id: m.request.0,
             });
-            for m in job.meta.iter().skip(1) {
-                t.journal.record(JournalEvent {
-                    name: "queued:rider",
-                    category: "runtime",
-                    ts_ns: m.submit_ns,
-                    dur_ns: span_start.saturating_sub(m.submit_ns).max(1),
-                    arg_a: job.shard as u64,
-                    arg_b: job.ticket,
-                    flow: FlowPhase::Start,
-                    flow_id: m.request.0,
-                });
-            }
-            // The execution span, recorded explicitly so each request's
-            // flow *end* can land at its midpoint — that is how chrome
-            // (and `trace_analyze`) bind the arrows to this slice.
+        }
+        // The execution span, recorded explicitly so each request's
+        // flow *end* can land at its midpoint — that is how chrome
+        // (and `trace_analyze`) bind the arrows to this slice.
+        t.journal.record(JournalEvent {
+            name: kind_span_name(kind_ix),
+            category: "runtime",
+            ts_ns: span_start,
+            dur_ns: exec_dur,
+            arg_a: WORKER_LANE_BASE + w as u64,
+            arg_b: job.ticket,
+            ..JournalEvent::default()
+        });
+        for m in &job.meta {
             t.journal.record(JournalEvent {
-                name: kind_span_name(kind_ix),
-                category: "runtime",
-                ts_ns: span_start,
-                dur_ns: exec_dur,
+                name: "req",
+                category: "flow",
+                ts_ns: span_start + exec_dur / 2,
+                dur_ns: 0,
                 arg_a: WORKER_LANE_BASE + w as u64,
-                arg_b: job.ticket,
-                ..JournalEvent::default()
+                arg_b: m.rows,
+                flow: FlowPhase::End,
+                flow_id: m.request.0,
             });
-            for m in &job.meta {
-                t.journal.record(JournalEvent {
-                    name: "req",
-                    category: "flow",
-                    ts_ns: span_start + exec_dur / 2,
-                    dur_ns: 0,
-                    arg_a: WORKER_LANE_BASE + w as u64,
-                    arg_b: m.rows,
-                    flow: FlowPhase::End,
-                    flow_id: m.request.0,
-                });
-            }
         }
         // Recovery runs here, after the group lock is released — healing
         // locks other shards' groups and must never do so while holding
@@ -1202,7 +1158,6 @@ impl Runtime {
         match run {
             Ok(Verdict::Done) => {}
             Ok(Verdict::Requeue(to)) => {
-                #[cfg(feature = "telemetry")]
                 self.telemetry.per_shard[job.shard].requeues.fetch_add(1, Ordering::Relaxed);
                 self.enqueue(to, job.kind, job.slots, job.meta, job.retries);
             }
@@ -1407,24 +1362,19 @@ impl Runtime {
     }
 
     fn push_event(&self, event: HealthEvent) {
-        #[cfg(feature = "telemetry")]
-        {
-            let (name, a, b) = match &event {
-                HealthEvent::ShardQuarantined { shard, failures } => {
-                    ("shard_quarantined", *shard as u64, u64::from(*failures))
-                }
-                HealthEvent::OperatorMigrated { from, to, .. } => {
-                    ("operator_migrated", *from as u64, *to as u64)
-                }
-                HealthEvent::OperatorDegraded { shard, .. } => {
-                    ("operator_degraded", *shard as u64, 0)
-                }
-                HealthEvent::LoadFailedVerify { shard, failed_cells, .. } => {
-                    ("load_failed_verify", *shard as u64, *failed_cells as u64)
-                }
-            };
-            self.telemetry.journal.instant(name, "health", a, b);
-        }
+        let (name, a, b) = match &event {
+            HealthEvent::ShardQuarantined { shard, failures } => {
+                ("shard_quarantined", *shard as u64, u64::from(*failures))
+            }
+            HealthEvent::OperatorMigrated { from, to, .. } => {
+                ("operator_migrated", *from as u64, *to as u64)
+            }
+            HealthEvent::OperatorDegraded { shard, .. } => ("operator_degraded", *shard as u64, 0),
+            HealthEvent::LoadFailedVerify { shard, failed_cells, .. } => {
+                ("load_failed_verify", *shard as u64, *failed_cells as u64)
+            }
+        };
+        self.telemetry.journal.instant(name, "health", a, b);
         self.events.lock().expect("events lock").push(event);
     }
 
@@ -1451,7 +1401,6 @@ impl Runtime {
         if job.retries < self.health_cfg.max_retries {
             match self.registry.lock().expect("registry lock").exec_target(work.handle) {
                 Ok(ExecTarget::Analog { shard: home, .. }) => {
-                    #[cfg(feature = "telemetry")]
                     self.telemetry.per_shard[job.shard].retries.fetch_add(1, Ordering::Relaxed);
                     let kind = JobKind::Compute(work);
                     self.enqueue(home, kind, job.slots, job.meta, job.retries + 1);
@@ -1493,7 +1442,6 @@ impl Runtime {
             }
             reg.analog_ops_on(sick)
         };
-        #[cfg(feature = "telemetry")]
         self.telemetry.per_shard[sick].quarantines.fetch_add(1, Ordering::Relaxed);
         self.push_event(HealthEvent::ShardQuarantined { shard: sick, failures });
         for (op, old_id) in ops {
@@ -1564,7 +1512,6 @@ impl Runtime {
         }
         let ops = self.registry.lock().expect("registry lock").analog_ops_on(shard);
         let mut reports = Vec::with_capacity(ops.len());
-        #[cfg(feature = "telemetry")]
         let probe_start = self.telemetry.journal.now_ns();
         {
             let group = self.shards[shard].group.lock().expect("shard lock");
@@ -1572,7 +1519,6 @@ impl Runtime {
                 reports.push((op, group.health_probe(id, 0.5)?));
             }
         }
-        #[cfg(feature = "telemetry")]
         self.telemetry.journal.span(
             "probe",
             "health",

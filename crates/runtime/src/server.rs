@@ -13,8 +13,10 @@
 //! with typed rejection when admission control is on
 //! ([`Runtime::with_queue_limit`]).
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 use crate::runtime::Runtime;
 
@@ -123,15 +125,14 @@ impl RuntimeServer {
 /// a server runs — the live metrics stream of a serving deployment. One
 /// line per tick (compact JSON, schema-versioned); a final snapshot is
 /// always written at [`stop`](Self::stop) so short runs still record their
-/// end state.
-#[cfg(feature = "telemetry")]
+/// end state. The thread parks between ticks, so `stop` wakes it at once
+/// instead of waiting out the interval.
 #[derive(Debug)]
 pub struct MetricsReporter {
-    stop: Arc<std::sync::atomic::AtomicBool>,
+    stop: Arc<AtomicBool>,
     thread: JoinHandle<std::io::Result<usize>>,
 }
 
-#[cfg(feature = "telemetry")]
 impl MetricsReporter {
     /// Starts snapshotting `rt` every `interval` into the JSONL file at
     /// `path` (created or truncated).
@@ -142,25 +143,25 @@ impl MetricsReporter {
     pub fn start(
         rt: Arc<Runtime>,
         path: &std::path::Path,
-        interval: std::time::Duration,
+        interval: Duration,
     ) -> std::io::Result<Self> {
         use std::io::Write as _;
         let file = std::fs::File::create(path)?;
-        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let stop = Arc::new(AtomicBool::new(false));
         let stop_flag = stop.clone();
         let thread = std::thread::Builder::new().name("gramc-metrics".into()).spawn(
             move || -> std::io::Result<usize> {
                 let mut out = std::io::BufWriter::new(file);
                 let mut lines = 0usize;
                 loop {
-                    let stopping = stop_flag.load(std::sync::atomic::Ordering::SeqCst);
+                    let stopping = stop_flag.load(Ordering::SeqCst);
                     out.write_all(rt.metrics_snapshot().to_jsonl_line().as_bytes())?;
                     out.flush()?;
                     lines += 1;
                     if stopping {
                         return Ok(lines);
                     }
-                    std::thread::sleep(interval);
+                    park_unless_stopped(interval, &stop_flag);
                 }
             },
         )?;
@@ -175,7 +176,24 @@ impl MetricsReporter {
     /// I/O errors from the reporter thread; a panicked reporter surfaces as
     /// [`std::io::ErrorKind::Other`].
     pub fn stop(self) -> std::io::Result<usize> {
-        self.stop.store(true, std::sync::atomic::Ordering::SeqCst);
+        self.stop.store(true, Ordering::SeqCst);
+        self.thread.thread().unpark();
         self.thread.join().map_err(|_| std::io::Error::other("metrics reporter panicked"))?
+    }
+}
+
+/// Parks a background tick thread ([`MetricsReporter`],
+/// [`SloMonitor`](crate::SloMonitor)) for `interval`, returning early once
+/// `stop` is raised: the stopping side stores the flag, then unparks the
+/// thread. `park_timeout` may also return spuriously, so it parks again
+/// until the deadline unless stopping.
+pub(crate) fn park_unless_stopped(interval: Duration, stop: &AtomicBool) {
+    let deadline = Instant::now() + interval;
+    while !stop.load(Ordering::SeqCst) {
+        let now = Instant::now();
+        if now >= deadline {
+            return;
+        }
+        std::thread::park_timeout(deadline - now);
     }
 }

@@ -29,6 +29,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crate::runtime::Runtime;
+use crate::server::park_unless_stopped;
 
 /// Service-level objectives and evaluation windows of an [`SloMonitor`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -131,7 +132,9 @@ impl Hysteresis {
 }
 
 /// Background thread evaluating [`SloConfig`] objectives against a served
-/// runtime (see the module docs for the burn-rate model).
+/// runtime (see the module docs for the burn-rate model). The thread parks
+/// between ticks, so [`stop`](Self::stop) wakes it at once instead of
+/// waiting out the interval.
 #[derive(Debug)]
 pub struct SloMonitor {
     stop: Arc<AtomicBool>,
@@ -232,7 +235,7 @@ impl SloMonitor {
             if stopping {
                 return alerts;
             }
-            std::thread::sleep(cfg.interval);
+            park_unless_stopped(cfg.interval, stop);
         }
     }
 
@@ -241,6 +244,7 @@ impl SloMonitor {
     #[must_use]
     pub fn stop(self) -> Vec<SloAlert> {
         self.stop.store(true, Ordering::SeqCst);
+        self.thread.thread().unpark();
         self.thread.join().unwrap_or_default()
     }
 }

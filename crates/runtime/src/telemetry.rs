@@ -1,12 +1,12 @@
-//! Serving telemetry for the sharded runtime (the `telemetry` feature):
+//! Serving telemetry for the sharded runtime (always compiled in):
 //! latency histograms over the job lifecycle, a queue-depth gauge,
 //! per-shard scheduler counters, per-job-kind hardware attribution and the
 //! structured event journal.
 //!
 //! Everything here observes; nothing feeds back. Counters are relaxed
 //! atomics, histograms are lock-free, and the journal ring is preallocated,
-//! so the instrumented scheduler paths stay allocation-free and results
-//! stay bit-identical to the untelemetered build.
+//! so the instrumented scheduler paths stay allocation-free and never
+//! change a result.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;

@@ -72,15 +72,12 @@ fn tenant_quota_rejects_typed_and_frees_on_completion() {
     rt.submit_for(flood, op, Work::Mvm(x())).expect("capacity frees when requests retire");
     rt.run_all();
 
-    #[cfg(feature = "telemetry")]
-    {
-        let snap = rt.metrics_snapshot();
-        let of = |t: TenantId| snap.tenants.iter().find(|m| m.tenant == t).unwrap();
-        assert_eq!(of(flood).rejected, 1, "the quota rejection is metered per tenant");
-        assert_eq!(of(flood).requests, 3, "rejected submissions are not requests");
-        assert_eq!(of(polite).rejected, 0);
-        assert_eq!(snap.rejected, 1, "tenant rejections feed the global gauge");
-    }
+    let snap = rt.metrics_snapshot();
+    let of = |t: TenantId| snap.tenants.iter().find(|m| m.tenant == t).unwrap();
+    assert_eq!(of(flood).rejected, 1, "the quota rejection is metered per tenant");
+    assert_eq!(of(flood).requests, 3, "rejected submissions are not requests");
+    assert_eq!(of(polite).rejected, 0);
+    assert_eq!(snap.rejected, 1, "tenant rejections feed the global gauge");
 }
 
 /// The tenant-attributed APIs return results bit-identical to the plain
@@ -131,7 +128,6 @@ fn tenant_apis_are_bit_identical_to_plain_apis() {
 /// two-tenant coalesced batch (and everything else that ran) sum
 /// bit-exactly to the global `hw_total` — integer remainder assignment,
 /// no lost or invented counts.
-#[cfg(feature = "telemetry")]
 #[test]
 fn tenant_hw_attribution_is_conservative_one_shard() {
     let (rt, op) = fixture(1, 8, 31);
@@ -155,7 +151,6 @@ fn tenant_hw_attribution_is_conservative_one_shard() {
 /// Conservation across shards: mixed kinds (coalesced MVMs, explicit
 /// batches, INV solves) from three tenants over three shards still sum
 /// bit-exactly to the global totals.
-#[cfg(feature = "telemetry")]
 #[test]
 fn tenant_hw_attribution_is_conservative_across_shards() {
     let dim = 6;
@@ -204,7 +199,6 @@ fn tenant_hw_attribution_is_conservative_across_shards() {
 
 /// Asserts the conservation law: tenant hardware shares sum bit-exactly
 /// to `hw_total`, and per-tenant latency counts cover every request.
-#[cfg(feature = "telemetry")]
 fn assert_conservation(rt: &Runtime) {
     let snap = rt.metrics_snapshot();
     let mut sum = gramc_runtime::HwSnapshot::default();
@@ -226,7 +220,6 @@ fn assert_conservation(rt: &Runtime) {
 /// The journal ring is sizable at construction; an undersized ring
 /// surfaces its overwrites as a drop count and drop rate in the metrics
 /// stream, and the per-interval drop counter resets between captures.
-#[cfg(feature = "telemetry")]
 #[test]
 fn journal_capacity_and_drop_rate_are_observable() {
     let rt = Runtime::new(1, 2, MacroConfig::small_ideal(8), 51).with_journal_capacity(32);
@@ -261,7 +254,6 @@ fn journal_capacity_and_drop_rate_are_observable() {
 /// flow in the chrome trace: a `queued:rider` span, one flow-start and
 /// one flow-end record per request id, binding its queue wait to the
 /// shared batch execution span.
-#[cfg(feature = "telemetry")]
 #[test]
 fn coalesced_riders_leave_linked_flow_events() {
     let (rt, op) = fixture(1, 8, 61);

@@ -219,7 +219,6 @@ fn unverifiable_load_fails_typed_after_bounded_retries() {
 /// conductance planes of the 4×4 region, so the "load" job-kind must
 /// attribute exactly 3 · 2 · 16 write cycles and pulses — one failing job,
 /// fully accounted, with no converter or read activity.
-#[cfg(feature = "telemetry")]
 #[test]
 fn failed_load_retries_are_metered_exactly() {
     let health =

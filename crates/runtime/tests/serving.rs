@@ -44,12 +44,9 @@ fn queue_full_rejects_past_the_bound() {
     );
     assert_eq!(rt.queued_jobs(), 2, "a rejected submission must not enqueue");
 
-    #[cfg(feature = "telemetry")]
-    {
-        let snap = rt.metrics_snapshot();
-        assert_eq!(snap.rejected, 1, "rejections are metered");
-        assert_eq!(snap.queue_depth, 2);
-    }
+    let snap = rt.metrics_snapshot();
+    assert_eq!(snap.rejected, 1, "rejections are metered");
+    assert_eq!(snap.queue_depth, 2);
 
     // Draining restores admission capacity.
     rt.run_all();
@@ -140,7 +137,6 @@ fn served_results_are_bit_identical_to_lone_group() {
 /// Every served job leaves its two-stage span pair in the journal: a
 /// `queued:<kind>` span on the shard lane (submit → dispatch) abutting a
 /// `job:<kind>` span on the worker lane (dispatch → complete).
-#[cfg(feature = "telemetry")]
 #[test]
 fn serving_trace_has_span_pair_per_job() {
     let (rt, server, op) = serving_fixture(13);
@@ -164,7 +160,6 @@ fn serving_trace_has_span_pair_per_job() {
 /// pinned at 3 (v3 added the `tenants` and `slo` sections and the widened
 /// `journal` block) and every reporter record is one compact line carrying
 /// it.
-#[cfg(feature = "telemetry")]
 #[test]
 fn metrics_stream_schema_version_is_pinned() {
     assert_eq!(gramc_runtime::METRICS_SCHEMA_VERSION, 3, "schema bumps must be deliberate");
@@ -195,4 +190,47 @@ fn metrics_stream_schema_version_is_pinned() {
         let opens = line.matches('{').count();
         assert_eq!(opens, line.matches('}').count(), "unbalanced braces: {line}");
     }
+}
+
+/// `stop` wakes a reporter parked between ticks: with a 10 s interval it
+/// returns at once, still writing the final snapshot after the first.
+#[test]
+fn metrics_reporter_stop_does_not_wait_out_the_interval() {
+    let rt = Arc::new(Runtime::new(1, 1, MacroConfig::small_ideal(8), 23));
+    let path = std::env::temp_dir().join("gramc_reporter_stop_test.jsonl");
+    let reporter = gramc_runtime::MetricsReporter::start(rt, &path, Duration::from_secs(10))
+        .expect("start reporter");
+    // Let the first tick land, so the reporter is parked in its interval.
+    let first_line = std::time::Instant::now() + Duration::from_secs(5);
+    while std::fs::read_to_string(&path).map_or(true, |s| s.is_empty()) {
+        assert!(std::time::Instant::now() < first_line, "first snapshot never written");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    let t0 = std::time::Instant::now();
+    let lines = reporter.stop().expect("reporter stops cleanly");
+    let took = t0.elapsed();
+    std::fs::remove_file(&path).ok();
+    assert!(took < Duration::from_secs(1), "stop blocked for {took:?}");
+    assert!(lines >= 2, "first and final snapshots, got {lines}");
+}
+
+/// `SloMonitor::stop` wakes the monitor out of its tick interval instead of
+/// sleeping through it, and still runs the final evaluation.
+#[test]
+fn slo_monitor_stop_does_not_wait_out_the_interval() {
+    let rt = Arc::new(Runtime::new(1, 1, MacroConfig::small_ideal(8), 29));
+    let cfg = gramc_runtime::SloConfig {
+        interval: Duration::from_secs(10),
+        ..gramc_runtime::SloConfig::default()
+    };
+    let slo = gramc_runtime::SloMonitor::start(rt, cfg);
+    // Give the first tick time to land, so the monitor is in its interval.
+    std::thread::sleep(Duration::from_millis(100));
+
+    let t0 = std::time::Instant::now();
+    let alerts = slo.stop();
+    let took = t0.elapsed();
+    assert!(took < Duration::from_secs(1), "stop blocked for {took:?}");
+    assert!(alerts.is_empty(), "an idle runtime burns no budget: {alerts:?}");
 }

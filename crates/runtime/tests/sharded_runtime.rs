@@ -384,7 +384,6 @@ fn every_compute_kind_falls_back_to_the_digital_reference() {
     let second = round();
     assert_eq!(second.failed_checks, 0);
     assert_eq!(second.degraded, 5);
-    #[cfg(feature = "telemetry")]
     assert_eq!(second.hw, Default::default(), "degraded jobs drive no hardware");
 }
 
@@ -408,7 +407,6 @@ fn sharded_tiling_rolls_back_on_capacity_error() {
 /// one lane, or across three stealing worker threads uncapped. (Shard 0
 /// is seeded identically regardless of how many shards exist, so the two
 /// runtimes replay the same RNG stream.)
-#[cfg(feature = "telemetry")]
 #[test]
 fn hardware_counters_are_invariant_to_worker_thread_count() {
     let config = MacroConfig::small(6);
@@ -455,13 +453,13 @@ fn hardware_counters_are_invariant_to_worker_thread_count() {
     assert!(m3.queue_depth_max >= 1);
 }
 
-/// Cross-build determinism anchor: one deterministic serving trace, its
-/// outputs folded into a single checksum pinned here. CI runs this exact
-/// test with telemetry on and off (`--no-default-features`), and in the
-/// single-threaded scheduler fallback; the constant must hold in every
-/// build, proving instrumentation and scheduling never perturb a bit of
-/// the analog math. Regenerate (only after an *intentional* numerics
-/// change) by running the test and copying the reported actual value.
+/// Cross-scheduler determinism anchor: one deterministic serving trace,
+/// its outputs folded into a single checksum pinned here. CI runs this
+/// exact test with the parallel scheduler (default features) and the
+/// single-threaded fallback (`--no-default-features`); the constant must
+/// hold in both, proving scheduling never perturbs a bit of the analog
+/// math. Regenerate (only after an *intentional* numerics change) by
+/// running the test and copying the reported actual value.
 #[test]
 fn analog_outputs_match_pinned_golden_checksum() {
     let rt = Runtime::new(2, 2, MacroConfig::small(8), 64);

@@ -9,9 +9,9 @@
 //! Everything here is **observation only**: no RNG, no floating-point state
 //! that feeds back into the simulation, no allocation on record paths (the
 //! journal ring is preallocated, histogram buckets are fixed arrays, and
-//! counters are plain atomics). The instrumented crates gate their use
-//! behind a `telemetry` cargo feature; this crate itself has no features
-//! and no dependencies.
+//! counters are plain atomics). The instrumented crates (array, core,
+//! runtime) use it unconditionally; this crate itself has no features and
+//! no dependencies.
 
 #![warn(missing_docs)]
 

@@ -13,7 +13,12 @@
 use gramc::core::tiling::TileMapping;
 use gramc::core::MacroConfig;
 use gramc::linalg::{random, vector};
-use gramc::runtime::{Placement, Runtime, RuntimeServer, ShardedTiledOperator, Work};
+use gramc::nn::LeNet5;
+use gramc::runtime::{
+    Placement, Runtime, RuntimeServer, ShardedTiledOperator, SloConfig, SloMonitor, TenantId,
+    TenantQuota, Work,
+};
+use std::time::Duration;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Four shards of four macros each, paper non-idealities at 32×32.
@@ -44,22 +49,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     rt.free(op)?;
 
     // ── What did that cost? ───────────────────────────────────────────
-    // The telemetry feature (on by default) meters every analog event the
-    // drain caused and prices it through the analog cost model.
-    #[cfg(feature = "telemetry")]
-    {
-        let m = rt.metrics_snapshot();
-        let cost = m.analog_cost(&gramc::core::metrics::AnalogCostModel::default());
-        println!(
-            "served p50/p99 submit→complete: {:.1} µs / {:.1} µs \
-             ({} DAC drives, {} ADC conversions → modeled {:.2e} J analog)",
-            m.submit_to_complete.p50_ns() as f64 / 1e3,
-            m.submit_to_complete.p99_ns() as f64 / 1e3,
-            m.hw_total.dac_drives,
-            m.hw_total.adc_conversions,
-            cost.energy,
-        );
-    }
+    // The runtime meters every analog event the drain caused; the analog
+    // cost model prices it.
+    let m = rt.metrics_snapshot();
+    let cost = m.analog_cost(&gramc::core::metrics::AnalogCostModel::default());
+    println!(
+        "served p50/p99 submit→complete: {:.1} µs / {:.1} µs \
+         ({} DAC drives, {} ADC conversions → modeled {:.2e} J analog)",
+        m.submit_to_complete.p50_ns() as f64 / 1e3,
+        m.submit_to_complete.p99_ns() as f64 / 1e3,
+        m.hw_total.dac_drives,
+        m.hw_total.adc_conversions,
+        cost.energy,
+    );
 
     // ── One operator, every shard ─────────────────────────────────────
     // A 64×64 matrix on 32×32 arrays: four tiles, placed round-robin so
@@ -112,89 +114,78 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Every submission carries its tenant, so the coalesced hardware
     // costs split back per tenant — and an SloMonitor with a deliberately
     // unreachable latency target (1 ns) shows the burn-rate alert firing.
-    #[cfg(feature = "telemetry")]
-    {
-        use gramc::nn::LeNet5;
-        use gramc::runtime::{SloConfig, SloMonitor, TenantId, TenantQuota};
-        use std::time::Duration;
+    const LENET: TenantId = TenantId(1);
+    const SOLVER: TenantId = TenantId(2);
+    let rt = std::sync::Arc::new(
+        Runtime::new(2, 4, MacroConfig::small(84), 2027)
+            .with_queue_limit(512)
+            .with_tenant_quota(TenantQuota { max_in_flight: 256 })
+            .with_journal_capacity(1 << 14),
+    );
+    let server = RuntimeServer::start(rt.clone());
+    let slo = SloMonitor::start(
+        rt.clone(),
+        SloConfig {
+            latency_target_ns: 1, // unreachable: every completion violates
+            short_window: 2,
+            long_window: 4,
+            interval: Duration::from_millis(5),
+            ..SloConfig::default()
+        },
+    );
 
-        const LENET: TenantId = TenantId(1);
-        const SOLVER: TenantId = TenantId(2);
-        let rt = std::sync::Arc::new(
-            Runtime::new(2, 4, MacroConfig::small(84), 2027)
-                .with_queue_limit(512)
-                .with_tenant_quota(TenantQuota { max_in_flight: 256 })
-                .with_journal_capacity(1 << 14),
-        );
-        let server = RuntimeServer::start(rt.clone());
-        let slo = SloMonitor::start(
-            rt.clone(),
-            SloConfig {
-                latency_target_ns: 1, // unreachable: every completion violates
-                short_window: 2,
-                long_window: 4,
-                interval: Duration::from_millis(5),
-                ..SloConfig::default()
-            },
-        );
+    let model = LeNet5::new(&mut random::seeded_rng(4));
+    let (cls_op, cls_loaded) =
+        rt.submit_load_for(LENET, &model.fc3.weights, TileMapping::FourBit, Placement::Pinned(0))?;
+    let spd = random::spd_with_condition(&mut rng, 32, 5.0);
+    let (spd_op, spd_loaded) =
+        rt.submit_load_for(SOLVER, &spd, TileMapping::FourBit, Placement::Pinned(1))?;
+    cls_loaded.wait()?;
+    spd_loaded.wait()?;
 
-        let model = LeNet5::new(&mut random::seeded_rng(4));
-        let (cls_op, cls_loaded) = rt.submit_load_for(
-            LENET,
-            &model.fc3.weights,
-            TileMapping::FourBit,
-            Placement::Pinned(0),
-        )?;
-        let spd = random::spd_with_condition(&mut rng, 32, 5.0);
-        let (spd_op, spd_loaded) =
-            rt.submit_load_for(SOLVER, &spd, TileMapping::FourBit, Placement::Pinned(1))?;
-        cls_loaded.wait()?;
-        spd_loaded.wait()?;
+    // Interleave the workloads across several SLO ticks so the burn
+    // windows see live traffic: the LeNet tenant classifies batches
+    // of fc2-style activations, the solver tenant answers INV solves.
+    std::thread::sleep(Duration::from_millis(10)); // pre-traffic baseline
+    for _ in 0..8 {
+        let acts: Vec<Vec<f64>> = (0..6)
+            .map(|_| (0..84).map(|_| random::standard_normal(&mut rng).abs()).collect())
+            .collect();
+        let inference = rt.submit_for(LENET, cls_op, Work::MvmBatch(acts))?;
+        let solve =
+            rt.submit_for(SOLVER, spd_op, Work::SolveInv(random::normal_vector(&mut rng, 32)))?;
+        inference.wait()?;
+        solve.wait()?;
+        std::thread::sleep(Duration::from_millis(5));
+    }
 
-        // Interleave the workloads across several SLO ticks so the burn
-        // windows see live traffic: the LeNet tenant classifies batches
-        // of fc2-style activations, the solver tenant answers INV solves.
-        std::thread::sleep(Duration::from_millis(10)); // pre-traffic baseline
-        for _ in 0..8 {
-            let acts: Vec<Vec<f64>> = (0..6)
-                .map(|_| (0..84).map(|_| random::standard_normal(&mut rng).abs()).collect())
-                .collect();
-            let inference = rt.submit_for(LENET, cls_op, Work::MvmBatch(acts))?;
-            let solve =
-                rt.submit_for(SOLVER, spd_op, Work::SolveInv(random::normal_vector(&mut rng, 32)))?;
-            inference.wait()?;
-            solve.wait()?;
-            std::thread::sleep(Duration::from_millis(5));
-        }
-
-        let alerts = slo.stop();
-        server.shutdown();
-        let snap = rt.metrics_snapshot();
-        let cost_model = gramc::core::metrics::AnalogCostModel::default();
-        println!("\nper-tenant cost table:");
+    let alerts = slo.stop();
+    server.shutdown();
+    let snap = rt.metrics_snapshot();
+    let cost_model = gramc::core::metrics::AnalogCostModel::default();
+    println!("\nper-tenant cost table:");
+    println!(
+        "{:>10} {:>9} {:>9} {:>10} {:>10} {:>12}",
+        "tenant", "requests", "rejected", "p50 µs", "p99 µs", "energy J"
+    );
+    for t in &snap.tenants {
         println!(
-            "{:>10} {:>9} {:>9} {:>10} {:>10} {:>12}",
-            "tenant", "requests", "rejected", "p50 µs", "p99 µs", "energy J"
+            "{:>10} {:>9} {:>9} {:>10.1} {:>10.1} {:>12.3e}",
+            t.tenant.to_string(),
+            t.requests,
+            t.rejected,
+            t.latency.p50_ns() as f64 / 1e3,
+            t.latency.p99_ns() as f64 / 1e3,
+            t.analog_cost(&cost_model).energy,
         );
-        for t in &snap.tenants {
-            println!(
-                "{:>10} {:>9} {:>9} {:>10.1} {:>10.1} {:>12.3e}",
-                t.tenant.to_string(),
-                t.requests,
-                t.rejected,
-                t.latency.p50_ns() as f64 / 1e3,
-                t.latency.p99_ns() as f64 / 1e3,
-                t.analog_cost(&cost_model).energy,
-            );
-        }
-        match alerts.first() {
-            Some(a) => println!(
-                "deliberate SLO alert: {:?} burning {:.0}× the error budget \
-                 (short window) at tick {}",
-                a.kind, a.short_burn, a.tick
-            ),
-            None => println!("no SLO alert fired (unexpectedly healthy run)"),
-        }
+    }
+    match alerts.first() {
+        Some(a) => println!(
+            "deliberate SLO alert: {:?} burning {:.0}× the error budget \
+             (short window) at tick {}",
+            a.kind, a.short_burn, a.tick
+        ),
+        None => println!("no SLO alert fired (unexpectedly healthy run)"),
     }
     Ok(())
 }
