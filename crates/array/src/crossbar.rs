@@ -14,9 +14,7 @@ use rand::Rng;
 use crate::error::ArrayError;
 use crate::write_verify::ProgramOutcome;
 
-#[cfg(feature = "fault-inject")]
 use gramc_device::{FaultKind, FaultPlan};
-
 use gramc_telemetry::HwCounters;
 
 /// The paper's array dimension.
@@ -155,8 +153,7 @@ const CACHE_SLOTS: usize = 8;
 /// Noisy reads ([`conductances`](Self::conductances)) model a fresh ADC
 /// sample per call and are deliberately never cached.
 ///
-/// Under the `fault-inject` feature an installed
-/// [`FaultPlan`](gramc_device::FaultPlan) participates in the same
+/// An installed [`FaultPlan`](gramc_device::FaultPlan) participates in the same
 /// contract: installing or clearing a plan and advancing the fault clock
 /// ([`advance_fault_time`](Self::advance_fault_time), which moves every
 /// drifting cell) all invalidate the cache, so snapshots never outlive a
@@ -184,7 +181,6 @@ pub struct CrossbarArray {
     /// rather than `RefCell` keeps the array `Send + Sync`; reads are
     /// single-owner in practice, so the lock is uncontended).
     cache: Mutex<ConductanceCache>,
-    #[cfg(feature = "fault-inject")]
     faults: Option<FaultState>,
     /// Hardware event counters (observation only — never touches RNG or
     /// math). Fresh per array; [`set_telemetry`](Self::set_telemetry)
@@ -194,7 +190,6 @@ pub struct CrossbarArray {
 
 /// Installed fault plan plus the array's fault clock and the precomputed
 /// stuck-at conductance rails (from the array's device parameters).
-#[cfg(feature = "fault-inject")]
 #[derive(Debug, Clone)]
 struct FaultState {
     plan: FaultPlan,
@@ -212,7 +207,6 @@ impl Clone for CrossbarArray {
             generation: self.generation,
             // Snapshots are derived data; the clone rebuilds on first read.
             cache: Mutex::new(ConductanceCache::default()),
-            #[cfg(feature = "fault-inject")]
             faults: self.faults.clone(),
             // A clone counts independently; owners sharing a sink re-install
             // it via `set_telemetry`.
@@ -240,7 +234,6 @@ impl CrossbarArray {
             cells,
             generation: 0,
             cache: Mutex::new(ConductanceCache::default()),
-            #[cfg(feature = "fault-inject")]
             faults: None,
             telemetry: Arc::new(HwCounters::new()),
         }
@@ -263,20 +256,22 @@ impl CrossbarArray {
     /// cache. Installing an [empty](FaultPlan::is_empty) plan leaves every
     /// read bit-identical.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the plan's shape differs from the array's.
-    #[cfg(feature = "fault-inject")]
-    pub fn install_fault_plan(&mut self, plan: FaultPlan) {
-        assert_eq!(plan.shape(), self.shape(), "fault plan shape must match the array");
+    /// Returns [`ArrayError::ShapeMismatch`] if the plan's shape differs
+    /// from the array's; the installed state is then left unchanged.
+    pub fn install_fault_plan(&mut self, plan: FaultPlan) -> Result<(), ArrayError> {
+        if plan.shape() != self.shape() {
+            return Err(ArrayError::ShapeMismatch { expected: self.shape(), found: plan.shape() });
+        }
         let g_on = self.config.device.conductance_at_gap(self.config.device.gap_min);
         let g_off = self.config.device.conductance_at_gap(self.config.device.gap_max);
         self.faults = Some(FaultState { plan, time: 0.0, g_on, g_off });
         self.invalidate_cache();
+        Ok(())
     }
 
     /// Removes the installed fault plan (if any) and invalidates the cache.
-    #[cfg(feature = "fault-inject")]
     pub fn clear_fault_plan(&mut self) {
         if self.faults.take().is_some() {
             self.invalidate_cache();
@@ -284,7 +279,6 @@ impl CrossbarArray {
     }
 
     /// The installed fault plan, if any.
-    #[cfg(feature = "fault-inject")]
     pub fn fault_plan(&self) -> Option<&FaultPlan> {
         self.faults.as_ref().map(|f| &f.plan)
     }
@@ -292,7 +286,6 @@ impl CrossbarArray {
     /// Advances the fault clock by `dt` seconds — drifting cells relax
     /// toward `G_off` accordingly. Invalidates the snapshot cache (the
     /// effective conductances moved). No-op without an installed plan.
-    #[cfg(feature = "fault-inject")]
     pub fn advance_fault_time(&mut self, dt: f64) {
         if let Some(fs) = &mut self.faults {
             fs.time += dt;
@@ -301,14 +294,12 @@ impl CrossbarArray {
     }
 
     /// Seconds on the fault clock since the plan was installed.
-    #[cfg(feature = "fault-inject")]
     pub fn fault_time(&self) -> f64 {
         self.faults.as_ref().map_or(0.0, |f| f.time)
     }
 
     /// What a read of cell `(row, col)` returns given the fault state, for
     /// a fault-free read of `g`.
-    #[cfg(feature = "fault-inject")]
     #[inline]
     fn fault_adjust(&self, g: f64, row: usize, col: usize) -> f64 {
         let Some(fs) = &self.faults else { return g };
@@ -329,16 +320,9 @@ impl CrossbarArray {
         }
     }
 
-    #[cfg(not(feature = "fault-inject"))]
-    #[inline(always)]
-    fn fault_adjust(&self, g: f64, _row: usize, _col: usize) -> f64 {
-        g
-    }
-
     /// The rail a stuck cell reads at, if `(row, col)` is stuck under the
     /// installed plan. Used by the programming paths to detect and report
     /// cells that cannot take their target.
-    #[cfg(feature = "fault-inject")]
     pub(crate) fn stuck_conductance_at(&self, row: usize, col: usize) -> Option<f64> {
         let fs = self.faults.as_ref()?;
         match fs.plan.fault_at(row, col)? {
@@ -346,12 +330,6 @@ impl CrossbarArray {
             FaultKind::StuckAtOff => Some(fs.g_off),
             FaultKind::Drift => None,
         }
-    }
-
-    #[cfg(not(feature = "fault-inject"))]
-    #[inline(always)]
-    pub(crate) fn stuck_conductance_at(&self, _row: usize, _col: usize) -> Option<f64> {
-        None
     }
 
     /// Mutation counter: bumped whenever the array state may have changed
@@ -474,7 +452,6 @@ impl CrossbarArray {
     /// probability is positive, each noisy sample independently dips by the
     /// configured fraction. Never applied to noise-free (verify/snapshot)
     /// reads; consumes no RNG when the probability is zero.
-    #[cfg(feature = "fault-inject")]
     fn apply_read_disturb<R: Rng + ?Sized>(
         &self,
         g: &mut Matrix,
@@ -494,16 +471,6 @@ impl CrossbarArray {
                 }
             }
         }
-    }
-
-    #[cfg(not(feature = "fault-inject"))]
-    #[inline(always)]
-    fn apply_read_disturb<R: Rng + ?Sized>(
-        &self,
-        _g: &mut Matrix,
-        _region: ActiveRegion,
-        _rng: &mut R,
-    ) {
     }
 
     /// Reads the noise-free conductance matrix of a region.
@@ -1166,7 +1133,6 @@ mod tests {
         assert_eq!(outcome.failure_frac(), 0.0);
     }
 
-    #[cfg(feature = "fault-inject")]
     mod fault_inject {
         use super::*;
         use gramc_device::{FaultConfig, FaultKind, FaultPlan};
@@ -1184,7 +1150,8 @@ mod tests {
                 4,
                 4,
                 &[(0, 0, FaultKind::StuckAtOn), (1, 2, FaultKind::StuckAtOff)],
-            ));
+            ))
+            .unwrap();
             let mut rng = StdRng::seed_from_u64(51);
             let targets = Matrix::filled(4, 4, q.conductance_of(8));
             let outcome =
@@ -1209,7 +1176,8 @@ mod tests {
             let gen0 = xbar.generation();
             let mut cfg = FaultConfig::default();
             cfg.drift_tau_s = 1.0;
-            xbar.install_fault_plan(FaultPlan::from_faults(4, 4, &[(2, 2, FaultKind::Drift)], cfg));
+            xbar.install_fault_plan(FaultPlan::from_faults(4, 4, &[(2, 2, FaultKind::Drift)], cfg))
+                .unwrap();
             assert!(xbar.generation() > gen0, "install must bump the generation");
             // Fresh install, t = 0: bit-identical readback.
             assert_eq!(xbar.effective_conductances(region).unwrap(), clean);
@@ -1227,7 +1195,7 @@ mod tests {
             let q = LevelQuantizer::paper_default();
             let region = ActiveRegion::full(4, 4);
             let targets = Matrix::filled(4, 4, q.conductance_of(5));
-            b.install_fault_plan(FaultPlan::sample(4, 4, &FaultConfig::default(), 99));
+            b.install_fault_plan(FaultPlan::sample(4, 4, &FaultConfig::default(), 99)).unwrap();
             let oa = a.program_direct(region, &targets, &q, 0.3, &mut rng_a).unwrap();
             let ob = b.program_direct(region, &targets, &q, 0.3, &mut rng_b).unwrap();
             assert_eq!(oa, ob);
@@ -1236,6 +1204,18 @@ mod tests {
                 b.conductances(region, &mut rng_b).unwrap(),
                 "zero-rate plan must not perturb reads or the RNG stream"
             );
+        }
+
+        #[test]
+        fn wrong_shape_plan_is_rejected() {
+            let (mut xbar, _) = ideal_array(4, 4, 55);
+            let gen0 = xbar.generation();
+            let err = xbar
+                .install_fault_plan(stuck_plan(4, 3, &[(0, 0, FaultKind::StuckAtOn)]))
+                .unwrap_err();
+            assert_eq!(err, ArrayError::ShapeMismatch { expected: (4, 4), found: (4, 3) });
+            assert!(xbar.fault_plan().is_none(), "a rejected plan is not installed");
+            assert_eq!(xbar.generation(), gen0, "a rejected plan leaves the cache alone");
         }
 
         #[test]
@@ -1249,7 +1229,7 @@ mod tests {
             let mut cfg = FaultConfig::default();
             cfg.read_disturb_prob = 1.0;
             cfg.read_disturb_frac = 0.5;
-            xbar.install_fault_plan(FaultPlan::from_faults(8, 8, &[], cfg));
+            xbar.install_fault_plan(FaultPlan::from_faults(8, 8, &[], cfg)).unwrap();
             assert_eq!(xbar.conductances_ideal(region).unwrap(), clean_ideal);
             let noisy = xbar.conductances(region, &mut rng).unwrap();
             let expected = q.conductance_of(10) * 0.5;

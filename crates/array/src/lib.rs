@@ -34,10 +34,13 @@
 //!   must call [`CrossbarArray::invalidate_cache`] themselves.
 //! * **Noisy reads stay fresh.** [`CrossbarArray::conductances`] models an
 //!   ADC sample with per-cell read noise and is never cached.
-//! * **Faults invalidate too.** Under the `fault-inject` feature,
-//!   installing/clearing a [`gramc_device::FaultPlan`] and advancing the
-//!   fault clock (conductance drift) invalidate the cache the same way a
-//!   programming pass does, so snapshots never serve a stale fault state.
+//! * **Faults invalidate too.** Installing/clearing a
+//!   [`gramc_device::FaultPlan`] and advancing the fault clock
+//!   (conductance drift) invalidate the cache the same way a programming
+//!   pass does, so snapshots never serve a stale fault state. Fault
+//!   injection is always compiled in and driven by the plan's
+//!   [`gramc_device::FaultConfig`] alone: with no plan installed, or an
+//!   all-zero config, every read is bit-identical to a fault-free array.
 //!
 //! The batched entry points take a `Matrix` whose rows are drive vectors,
 //! amortize one snapshot (plus one transpose) over the whole batch, and
@@ -78,5 +81,4 @@ pub use write_verify::{
     WriteVerifyConfig, WriteVerifyController,
 };
 
-#[cfg(feature = "fault-inject")]
 pub use gramc_device::{FaultConfig, FaultKind, FaultPlan};

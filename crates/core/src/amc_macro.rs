@@ -23,9 +23,7 @@ use gramc_array::{
     ProgramOutcome, SignedEncoding, WriteVerifyController,
 };
 use gramc_circuit::{dc_solve, topology, Circuit, DcOperator, OpampModel};
-use gramc_device::{CellNoise, LevelQuantizer};
-#[cfg(feature = "fault-inject")]
-use gramc_device::{FaultConfig, FaultPlan};
+use gramc_device::{CellNoise, FaultConfig, FaultPlan, LevelQuantizer};
 use gramc_linalg::{power_iteration, random, vector, Matrix};
 use gramc_telemetry::{HwCounters, HwSnapshot};
 use rand::rngs::StdRng;
@@ -1271,11 +1269,10 @@ impl MacroGroup {
     }
 }
 
-/// Fault-injection controls (the `fault-inject` feature): install one
-/// seeded [`FaultPlan`] per macro, advance the shared fault clock, and
-/// clear. Each macro gets a decorrelated seed derived from the campaign
-/// seed, so a group-level injection is reproducible end to end.
-#[cfg(feature = "fault-inject")]
+/// Fault-injection controls: install one seeded [`FaultPlan`] per macro,
+/// advance the shared fault clock, and clear. Each macro gets a
+/// decorrelated seed derived from the campaign seed, so a group-level
+/// injection is reproducible end to end.
 impl MacroGroup {
     /// Samples and installs a fault plan on every macro's crossbar.
     ///
@@ -1288,7 +1285,7 @@ impl MacroGroup {
         for m in &mut self.macros {
             let macro_seed = seed ^ (m.id as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
             let plan = FaultPlan::sample(rows, cols, config, macro_seed);
-            m.array.install_fault_plan(plan);
+            m.array.install_fault_plan(plan).expect("plan is sampled at the array's own shape");
         }
     }
 

@@ -39,7 +39,6 @@ pub use gramc_array::ProgramOutcome;
 pub use gramc_telemetry::{HwCounters, HwSnapshot};
 
 pub use functional::{argmax, pool2d, requantize, softmax, Activation, Pooling};
-#[cfg(feature = "fault-inject")]
 pub use gramc_array::{FaultConfig, FaultKind, FaultPlan};
 pub use nonideal::{NonidealityConfig, ProgrammingMode};
 pub use registers::{GateConfiguration, MacroMode, OpampRole, RegisterArray};

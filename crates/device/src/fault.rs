@@ -10,7 +10,10 @@
 //! recovery logic can be tested bit-for-bit.
 //!
 //! The plan itself is pure data — applying it to reads is the array
-//! layer's job (`gramc-array` under its `fault-inject` feature).
+//! layer's job (`gramc_array::CrossbarArray::install_fault_plan`). Fault
+//! injection is a runtime setting, not a build option: the all-zero
+//! default [`FaultConfig`] samples an empty plan, and an array with no
+//! plan installed reads exactly as if the fault hooks were absent.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

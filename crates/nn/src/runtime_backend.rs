@@ -173,12 +173,11 @@ mod tests {
         assert_eq!(logits_single, logits_sharded);
     }
 
-    /// Determinism under injection: the `fault-inject` machinery compiled
-    /// in with a **zero-rate** plan installed on every shard must leave
-    /// the LeNet logits bit-identical to the single-group baseline — same
-    /// seeds, same operation order, not one extra RNG draw.
+    /// Determinism under injection: a **zero-rate** fault plan installed
+    /// on every shard must leave the LeNet logits bit-identical to the
+    /// single-group baseline — same seeds, same operation order, not one
+    /// extra RNG draw.
     #[test]
-    #[cfg(feature = "fault-inject")]
     fn zero_rate_injection_keeps_lenet_logits_bit_identical() {
         use gramc_runtime::FaultConfig;
 

@@ -105,11 +105,11 @@
 //!   degraded dispatches and records an [`HealthEvent::OperatorDegraded`]
 //!   per affected operator.
 //!
-//! Fault injection (the `fault-inject` feature, re-exported from
-//! `gramc-core`) drives all four channels deterministically in tests and
-//! benches: [`Runtime::inject_shard_faults`] installs a seeded
+//! Fault injection (always compiled, re-exported from `gramc-core`)
+//! drives all four channels deterministically in tests and benches:
+//! [`Runtime::inject_shard_faults`] installs a seeded
 //! [`FaultPlan`](gramc_core::FaultPlan) on one shard's macros; an all-zero
-//! [`FaultConfig`] is bit-identical to the feature being off.
+//! [`FaultConfig`] is bit-identical to no plan installed.
 //!
 //! ## Observability
 //!
@@ -302,5 +302,4 @@ pub use gramc_telemetry::{
     LatencyHistogram,
 };
 
-#[cfg(feature = "fault-inject")]
 pub use gramc_core::{FaultConfig, FaultKind, FaultPlan};

@@ -7,9 +7,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
 use gramc_core::tiling::TileMapping;
-#[cfg(feature = "fault-inject")]
-use gramc_core::FaultConfig;
-use gramc_core::{CoreError, MacroConfig, MacroGroup, ProbeReport};
+use gramc_core::{CoreError, FaultConfig, MacroConfig, MacroGroup, ProbeReport};
 use gramc_linalg::Matrix;
 use gramc_telemetry::{FlowPhase, HwSnapshot, JournalEvent};
 
@@ -1551,10 +1549,9 @@ impl Runtime {
     }
 }
 
-/// Fault-injection controls (the `fault-inject` feature): deterministic
-/// device-fault campaigns against individual shards, driving the recovery
-/// machinery in tests, benches and the serving example.
-#[cfg(feature = "fault-inject")]
+/// Fault-injection controls: deterministic device-fault campaigns against
+/// individual shards, driving the recovery machinery in tests, benches and
+/// the serving example.
 impl Runtime {
     /// Samples and installs a seeded fault plan on every macro of `shard`
     /// (see [`MacroGroup::inject_faults`]). An all-zero `config` leaves the

@@ -15,6 +15,7 @@
 
 #![warn(missing_docs)]
 
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -527,19 +528,36 @@ impl EventJournal {
 
     /// All held events, oldest first.
     pub fn events(&self) -> Vec<JournalEvent> {
+        self.held().0
+    }
+
+    /// The held events, oldest first, and whether the ring has wrapped;
+    /// both read under one lock so they agree.
+    fn held(&self) -> (Vec<JournalEvent>, bool) {
         let ring = self.ring.lock().expect("journal poisoned");
         let mut out = Vec::with_capacity(ring.buf.len());
         out.extend_from_slice(&ring.buf[ring.head..]);
         out.extend_from_slice(&ring.buf[..ring.head]);
-        out
+        (out, self.overwritten() > 0)
     }
 
     /// Exports the journal in chrome://tracing "trace event" JSON (an array
     /// of `X` duration and `i` instant events; open via `chrome://tracing`
     /// or Perfetto). `arg_a` becomes the track (`tid`), so per-shard lanes
     /// render separately.
+    ///
+    /// A journal that has not wrapped exports exactly like the free
+    /// [`to_chrome_trace`]. Once it has wrapped, the `f` record of a flow
+    /// end whose start is no longer held is left out: a start is always
+    /// recorded before its end, so only the overwrite edge can orphan one.
     pub fn to_chrome_trace(&self) -> String {
-        to_chrome_trace(&self.events())
+        let (events, wrapped) = self.held();
+        if !wrapped {
+            return to_chrome_trace(&events);
+        }
+        let starts: HashSet<u64> =
+            events.iter().filter(|e| e.flow == FlowPhase::Start).map(|e| e.flow_id).collect();
+        chrome_trace(&events, |id| starts.contains(&id))
     }
 }
 
@@ -551,8 +569,15 @@ impl EventJournal {
 /// the flow record shares the slice's `pid`/`tid` and is timestamped at
 /// the slice midpoint, so chrome binds it to that slice. Flow-carrying
 /// `X` slices also expose the flow id as `args.req`, which is what the
-/// offline `trace_analyze` tooling keys on.
+/// offline `trace_analyze` tooling keys on. Every flow end is exported,
+/// with or without a matching start.
 pub fn to_chrome_trace(events: &[JournalEvent]) -> String {
+    chrome_trace(events, |_| true)
+}
+
+/// [`to_chrome_trace`], emitting a flow end's `f` record only when
+/// `keep_end(flow_id)` holds.
+fn chrome_trace(events: &[JournalEvent], keep_end: impl Fn(u64) -> bool) -> String {
     let mut out = String::from("[\n");
     // Flow records are appended after their carrier, so commas between
     // records are decided by position in the output, not the input.
@@ -585,6 +610,7 @@ pub fn to_chrome_trace(events: &[JournalEvent]) -> String {
         }
         match ev.flow {
             FlowPhase::None => {}
+            FlowPhase::End if !keep_end(ev.flow_id) => {}
             FlowPhase::Start | FlowPhase::End => {
                 // Timestamp inside the carrier slice (its midpoint; the
                 // record's own ts for zero-duration carriers) so the
@@ -777,6 +803,46 @@ mod tests {
         assert!(trace.contains("\"ph\":\"s\",\"id\":42,\"ts\":2.000"), "{trace}");
         assert_eq!(trace.matches('{').count(), trace.matches('}').count());
         assert_eq!(trace.matches('[').count(), trace.matches(']').count());
+    }
+
+    /// One end of request `flow_id`'s flow: its queue-wait span (start)
+    /// or the zero-duration record landing it (end).
+    fn flow_event(flow: FlowPhase, flow_id: u64) -> JournalEvent {
+        let dur_ns = if flow == FlowPhase::Start { 2_000 } else { 0 };
+        JournalEvent {
+            name: "req",
+            ts_ns: flow_id * 10_000,
+            dur_ns,
+            flow,
+            flow_id,
+            ..JournalEvent::default()
+        }
+    }
+
+    #[test]
+    fn wrapped_journal_exports_no_orphan_flow_end() {
+        // Capacity 3 over flows 1 and 2: flow 1's start is overwritten
+        // while its end survives at the overwrite edge.
+        let j = EventJournal::new(3);
+        for id in [1, 2] {
+            j.record(flow_event(FlowPhase::Start, id));
+            j.record(flow_event(FlowPhase::End, id));
+        }
+        assert_eq!(j.events()[0], flow_event(FlowPhase::End, 1));
+        let trace = j.to_chrome_trace();
+        assert!(!trace.contains("\"id\":1,"), "orphan end of flow 1 exported: {trace}");
+        assert_eq!(trace.matches("\"id\":2,").count(), 2, "flow 2 is whole: {trace}");
+    }
+
+    #[test]
+    fn unwrapped_journal_keeps_an_orphan_flow_end() {
+        // Never wrapped, an orphan end is a real recording bug: it is
+        // exported so `trace_analyze --check` catches it.
+        let j = EventJournal::new(16);
+        j.record(flow_event(FlowPhase::End, 9));
+        let trace = j.to_chrome_trace();
+        assert_eq!(trace, to_chrome_trace(&j.events()));
+        assert!(trace.contains("\"ph\":\"f\",\"bp\":\"e\",\"id\":9,"), "{trace}");
     }
 
     #[test]
