@@ -1,6 +1,6 @@
-//! Analog-vs-digital scaling (EXPERIMENTS.md E8): measured MNA solve cost of
-//! the INV circuit (the *simulation* cost) against the measured digital LU,
-//! alongside the analytical hardware cost model.
+//! Analog-vs-digital scaling (supplemental to `PAPER.md`): measured MNA
+//! solve cost of the INV circuit (the *simulation* cost) against the
+//! measured digital LU, alongside the analytical hardware cost model.
 //!
 //! ```sh
 //! cargo bench -p gramc-bench --bench scaling

@@ -1,4 +1,4 @@
-//! Ablation study over the analog error budget (DESIGN.md §6): which
+//! Ablation study over the analog error budget (`NonidealityConfig`): which
 //! non-ideality costs how much accuracy, per computing mode.
 //!
 //! Sweeps: weight bits, read noise, op-amp gain/offset, signed-encoding

@@ -24,62 +24,49 @@ use gramc_array::{ActiveRegion, ArrayConfig, CrossbarArray};
 use gramc_bench::loadgen;
 use gramc_bench::timing::{to_json, Reporter, Sample};
 use gramc_circuit::{dc_solve, topology, DcOperator, OpampModel};
-use gramc_core::metrics::{AnalogAreaModel, AnalogCostModel, CellLayout};
+use gramc_core::metrics::{AnalogAreaModel, AnalogCostModel, AreaBreakdown, CellLayout};
 use gramc_core::tiling::TileMapping;
 use gramc_core::{MacroConfig, MacroGroup, NonidealityConfig};
 use gramc_device::LevelQuantizer;
 use gramc_linalg::{random, vector, LuDecomposition, Matrix};
 use gramc_nn::{GramcLenet, LeNet5, Precision, Tensor3};
 use gramc_runtime::{FaultConfig, HealthConfig, HwSnapshot, MetricsSnapshot, Placement, Runtime};
+use gramc_telemetry::json::{self, Json};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
 
-/// JSON object for one hardware-counter snapshot (stable
-/// [`HwSnapshot::fields`] order).
-fn hw_json(hw: &HwSnapshot) -> String {
-    use std::fmt::Write as _;
-    let mut s = String::from("{");
-    for (i, (name, v)) in hw.fields().iter().enumerate() {
-        let comma = if i + 1 < gramc_telemetry::HW_FIELDS { ", " } else { "" };
-        let _ = write!(s, "\"{name}\": {v}{comma}");
-    }
-    s.push('}');
-    s
+/// The benched deployment's silicon area through [`AnalogAreaModel`],
+/// summed over `macros` identical `rows × cols` macros, for both cell
+/// layouts: 1T1R (≈12F², transistor-limited) and the passive Stanford-PKU
+/// crosspoint (4F² density limit).
+fn layout_areas((macros, rows, cols): (usize, usize, usize)) -> [(&'static str, AreaBreakdown); 2] {
+    [("1t1r", CellLayout::OneTOneR), ("crosspoint", CellLayout::Crosspoint)].map(|(tag, layout)| {
+        let model = AnalogAreaModel { cell_layout: layout, ..AnalogAreaModel::default() };
+        (tag, model.deployment_area(macros, rows, cols))
+    })
 }
 
-/// JSON object pricing the benched deployment's silicon area through
-/// [`AnalogAreaModel`]: per-component mm² (crossbar / DAC / ADC) for both
-/// cell layouts — 1T1R (≈12F², transistor-limited) and the passive
-/// Stanford-PKU crosspoint (4F² density limit) — summed over `macros`
-/// identical `rows × cols` macros.
-fn area_json(macros: usize, rows: usize, cols: usize) -> String {
-    use std::fmt::Write as _;
-    let base = AnalogAreaModel::default();
-    let mut s = String::new();
-    let _ = write!(
-        s,
-        "{{\"macros\": {macros}, \"rows\": {rows}, \"cols\": {cols}, \
-         \"feature_size_nm\": {:.0}",
-        base.feature_size * 1e9
-    );
-    for (key, layout) in
-        [("cell_1t1r", CellLayout::OneTOneR), ("cell_crosspoint", CellLayout::Crosspoint)]
-    {
-        let model = AnalogAreaModel { cell_layout: layout, ..base.clone() };
-        let a = model.deployment_area(macros, rows, cols);
-        let _ = write!(
-            s,
-            ", \"{key}\": {{\"crossbar_mm2\": {:e}, \"dac_mm2\": {:e}, \
-             \"adc_mm2\": {:e}, \"total_mm2\": {:e}}}",
-            a.crossbar_mm2,
-            a.dac_mm2,
-            a.adc_mm2,
-            a.total_mm2()
-        );
-    }
-    s.push('}');
-    s
+/// JSON object of the deployment's area: its shape and per-component mm²
+/// (crossbar / DAC / ADC) under each cell layout.
+fn area_json((macros, rows, cols): (usize, usize, usize), areas: &[(&str, AreaBreakdown)]) -> Json {
+    let feature_size_nm = (AnalogAreaModel::default().feature_size * 1e9).round();
+    let mut members = vec![
+        ("macros".to_string(), Json::from(macros)),
+        ("rows".into(), rows.into()),
+        ("cols".into(), cols.into()),
+        ("feature_size_nm".into(), feature_size_nm.into()),
+    ];
+    members.extend(areas.iter().map(|(tag, a)| {
+        let area = [
+            ("crossbar_mm2", a.crossbar_mm2),
+            ("dac_mm2", a.dac_mm2),
+            ("adc_mm2", a.adc_mm2),
+            ("total_mm2", a.total_mm2()),
+        ];
+        (format!("cell_{tag}"), Json::obj(area))
+    }));
+    Json::Obj(members)
 }
 
 /// JSON object projecting the measured serving numbers to a
@@ -90,14 +77,13 @@ fn area_json(macros: usize, rows: usize, cols: usize) -> String {
 /// daily volume), and its silicon footprint under both cell layouts.
 fn deployment_projection_json(
     runtime: &MetricsSnapshot,
-    deployment: (usize, usize, usize),
+    macros: usize,
+    areas: &[(&str, AreaBreakdown)],
     sustained_rps: f64,
-) -> String {
-    use std::fmt::Write as _;
+) -> Json {
     const USERS: f64 = 1e6;
     const REQUESTS_PER_USER_DAY: f64 = 100.0;
     const PEAK_FACTOR: f64 = 5.0;
-    let (macros, rows, cols) = deployment;
     let requests_per_day = USERS * REQUESTS_PER_USER_DAY;
     let mean_rps = requests_per_day / 86_400.0;
     let peak_rps = mean_rps * PEAK_FACTOR;
@@ -106,34 +92,27 @@ fn deployment_projection_json(
     let served = runtime.submit_to_complete.count.max(1) as f64;
     let energy_per_request =
         AnalogCostModel::default().attribute(&runtime.hw_total).energy / served;
-    let base = AnalogAreaModel::default();
-    let mut s = String::new();
-    let _ = write!(
-        s,
-        "{{\"users\": {USERS:.0}, \"requests_per_user_day\": {REQUESTS_PER_USER_DAY:.0}, \
-         \"requests_per_day\": {requests_per_day:.0}, \"peak_factor\": {PEAK_FACTOR}, \
-         \"mean_rps\": {mean_rps:.1}, \"peak_rps\": {peak_rps:.1}, \
-         \"measured_sustained_rps\": {sustained:.1}, \
-         \"deployments_needed\": {deployments:.0}, \
-         \"arrays_needed\": {:.0}, \
-         \"energy_per_request_j\": {energy_per_request:e}, \
-         \"joules_per_day\": {:e}",
-        deployments * macros as f64,
-        energy_per_request * requests_per_day,
+    let mut members = vec![
+        ("users".to_string(), USERS),
+        ("requests_per_user_day".into(), REQUESTS_PER_USER_DAY),
+        ("requests_per_day".into(), requests_per_day),
+        ("peak_factor".into(), PEAK_FACTOR),
+        ("mean_rps".into(), mean_rps),
+        ("peak_rps".into(), peak_rps),
+        ("measured_sustained_rps".into(), sustained),
+        ("deployments_needed".into(), deployments),
+        ("arrays_needed".into(), deployments * macros as f64),
+        ("energy_per_request_j".into(), energy_per_request),
+        ("joules_per_day".into(), energy_per_request * requests_per_day),
+    ];
+    members.extend(
+        areas.iter().map(|(tag, a)| (format!("fleet_mm2_{tag}"), deployments * a.total_mm2())),
     );
-    for (key, layout) in
-        [("fleet_mm2_1t1r", CellLayout::OneTOneR), ("fleet_mm2_crosspoint", CellLayout::Crosspoint)]
-    {
-        let model = AnalogAreaModel { cell_layout: layout, ..base.clone() };
-        let per_deployment = model.deployment_area(macros, rows, cols).total_mm2();
-        let _ = write!(s, ", \"{key}\": {:e}", deployments * per_deployment);
-    }
-    s.push('}');
-    s
+    Json::obj(members)
 }
 
 /// Composes and writes `TELEMETRY_report.json` next to `out_path`:
-/// free-form metadata, one runtime's serving-metrics snapshot under
+/// typed metadata rows, one runtime's serving-metrics snapshot under
 /// `runtime_label`, the deployment's per-component area model
 /// (`deployment` = macros/rows/cols), the million-user deployment
 /// projection anchored at `sustained_rps` (the serving observatory's
@@ -141,53 +120,32 @@ fn deployment_projection_json(
 /// streamed LeNet pass priced through the default cost model.
 fn write_telemetry_report(
     out_path: &str,
-    meta: &[(&str, String)],
+    meta: Vec<(String, Json)>,
     runtime_label: &str,
     runtime: &MetricsSnapshot,
     deployment: (usize, usize, usize),
     sustained_rps: f64,
     lenet: Option<(usize, HwSnapshot)>,
 ) {
-    use std::fmt::Write as _;
-    let mut out = String::from("{\n  \"meta\": {\n");
-    for (i, (k, v)) in meta.iter().enumerate() {
-        let comma = if i + 1 < meta.len() { "," } else { "" };
-        // Numbers and booleans pass through unquoted, like `to_json`.
-        if v.parse::<f64>().is_ok() || v == "true" || v == "false" {
-            let _ = writeln!(out, "    \"{k}\": {v}{comma}");
-        } else {
-            let _ = writeln!(out, "    \"{k}\": \"{v}\"{comma}");
-        }
-    }
-    out.push_str("  },\n");
-    let _ = writeln!(out, "  \"{runtime_label}\": {},", runtime.to_json().trim_end());
-    let _ = writeln!(out, "  \"area\": {},", area_json(deployment.0, deployment.1, deployment.2));
-    let _ = writeln!(
-        out,
-        "  \"deployment_projection\": {},",
-        deployment_projection_json(runtime, deployment, sustained_rps)
-    );
-    match lenet {
-        Some((images, hw)) => {
-            let cost = AnalogCostModel::default().attribute(&hw);
-            let _ = writeln!(
-                out,
-                "  \"lenet_stream\": {{\"images\": {images}, \"hw\": {}, \
-                 \"modeled\": {{\"latency_s\": {:e}, \"energy_j\": {:e}}}}}",
-                hw_json(&hw),
-                cost.latency,
-                cost.energy
-            );
-        }
-        None => {
-            let _ = writeln!(out, "  \"lenet_stream\": null");
-        }
-    }
-    out.push_str("}\n");
+    let areas = layout_areas(deployment);
+    let lenet = lenet.map(|(images, hw)| {
+        let cost = AnalogCostModel::default().attribute(&hw);
+        Json::obj([("images", Json::from(images)), ("hw", (&hw).into()), ("modeled", cost.into())])
+    });
+    let report = Json::obj([
+        ("meta", Json::Obj(meta)),
+        (runtime_label, runtime.into()),
+        ("area", area_json(deployment, &areas)),
+        (
+            "deployment_projection",
+            deployment_projection_json(runtime, deployment.0, &areas, sustained_rps),
+        ),
+        ("lenet_stream", lenet.into()),
+    ]);
     let path = std::path::Path::new(out_path)
         .parent()
         .map_or_else(|| "TELEMETRY_report.json".into(), |d| d.join("TELEMETRY_report.json"));
-    std::fs::write(&path, out).expect("write telemetry json");
+    std::fs::write(&path, format!("{report}\n")).expect("write telemetry json");
     println!("wrote {}", path.display());
 }
 
@@ -237,7 +195,7 @@ fn serving_observatory(
     out_path: &str,
     smoke: bool,
     samples: &mut Vec<Sample>,
-    meta: &mut Vec<(String, String)>,
+    meta: &mut Vec<(String, Json)>,
 ) -> f64 {
     use gramc_runtime::{MetricsReporter, RuntimeServer, SloConfig, SloMonitor, TenantId, Work};
     use std::sync::Arc;
@@ -285,7 +243,7 @@ fn serving_observatory(
         let rate = capacity * frac;
         let mut rep = loadgen::open_loop(&rt, op, &x, rate, window, 2);
         rep.name = format!("serving_open_{tag}_knee");
-        meta.push((format!("{}_offered_rps", rep.name), format!("{rate:.0}")));
+        meta.push((format!("{}_offered_rps", rep.name), rate.into()));
         reports.push(rep);
     }
     for rep in &reports {
@@ -333,8 +291,8 @@ fn serving_observatory(
         lines,
         trace_path.display(),
     );
-    meta.push(("serving_slo_alerts".to_string(), alerts.len().to_string()));
-    meta.push(("serving_sustained_rps".to_string(), format!("{capacity:.0}")));
+    meta.push(("serving_slo_alerts".into(), alerts.len().into()));
+    meta.push(("serving_sustained_rps".into(), capacity.into()));
     capacity
 }
 
@@ -346,7 +304,7 @@ fn serving_observatory(
 /// that absorbs the faults. Recovery is not repeatable in place, so each
 /// iteration rebuilds the runtime from scratch and only the drain itself
 /// is timed; the per-rate sample averages `DRAIN_ITERS` such drains.
-fn fault_sweep(samples: &mut Vec<Sample>, meta: &mut Vec<(String, String)>) {
+fn fault_sweep(samples: &mut Vec<Sample>, meta: &mut Vec<(String, Json)>) {
     const DRAIN_ITERS: usize = 3;
 
     let health = HealthConfig {
@@ -404,8 +362,8 @@ fn fault_sweep(samples: &mut Vec<Sample>, meta: &mut Vec<(String, String)>) {
             mean_ns: mean * 1e9,
             min_ns: min * 1e9,
         });
-        meta.push((format!("fault_sweep_rel_error_rate_{tag}"), format!("{served_err:.6}")));
-        meta.push((format!("fault_sweep_failed_checks_rate_{tag}"), failed_checks.to_string()));
+        meta.push((format!("fault_sweep_rel_error_rate_{tag}"), served_err.into()));
+        meta.push((format!("fault_sweep_failed_checks_rate_{tag}"), failed_checks.into()));
     }
 }
 
@@ -418,7 +376,7 @@ fn fault_sweep(samples: &mut Vec<Sample>, meta: &mut Vec<(String, String)>) {
 fn perf_regression_check(
     baseline_json: &str,
     samples: &mut Vec<Sample>,
-    meta: &mut Vec<(String, String)>,
+    meta: &mut Vec<(String, Json)>,
 ) -> Vec<String> {
     const BUDGET: f64 = 1.20;
     let mut r = Reporter::new();
@@ -449,7 +407,7 @@ fn perf_regression_check(
             "perf gate: {kernel} normalized {cur_norm:.5} vs baseline {base_norm:.5} \
              ({ratio:.2}x, budget {BUDGET:.2}x)"
         );
-        meta.push((format!("perf_gate_{kernel}_vs_baseline"), format!("{ratio:.3}")));
+        meta.push((format!("perf_gate_{kernel}_vs_baseline"), ratio.into()));
         if ratio > BUDGET {
             regressed.push(kernel.to_string());
         }
@@ -476,35 +434,33 @@ fn main() {
     // supplied — the machine-normalized perf regression gate.
     if smoke {
         let mut samples: Vec<Sample> = Vec::new();
-        let mut extra_meta: Vec<(String, String)> = Vec::new();
-        fault_sweep(&mut samples, &mut extra_meta);
-        let sustained_rps = serving_observatory(&out_path, true, &mut samples, &mut extra_meta);
+        let mut meta: Vec<(String, Json)> = vec![("bench".into(), "bench_kernels_smoke".into())];
+        fault_sweep(&mut samples, &mut meta);
+        let sustained_rps = serving_observatory(&out_path, true, &mut samples, &mut meta);
         let regressed = match &baseline_path {
             Some(p) => {
                 let baseline = std::fs::read_to_string(p).expect("read baseline json");
                 // An unparseable baseline must fail the gate, not read as "no
                 // baseline entry" for every kernel.
-                if let Err(e) = gramc_bench::json::parse(&baseline) {
+                if let Err(e) = json::parse(&baseline) {
                     eprintln!("perf gate FAILED: baseline {p} is not valid JSON: {e}");
                     std::process::exit(1);
                 }
-                perf_regression_check(&baseline, &mut samples, &mut extra_meta)
+                perf_regression_check(&baseline, &mut samples, &mut meta)
             }
             None => Vec::new(),
         };
-        extra_meta.insert(0, ("bench".to_string(), "bench_kernels_smoke".to_string()));
-        let meta: Vec<(&str, String)> =
-            extra_meta.iter().map(|(k, v)| (k.as_str(), v.clone())).collect();
-        std::fs::write(&out_path, to_json(&meta, &samples)).expect("write benchmark json");
+        let report = to_json(meta, &samples);
+        std::fs::write(&out_path, format!("{report}\n")).expect("write benchmark json");
         println!("wrote {out_path}");
         let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
         let tmeta = vec![
-            ("bench", "bench_kernels_smoke".to_string()),
-            ("host_cpus", host_cpus.to_string()),
+            ("bench".into(), "bench_kernels_smoke".into()),
+            ("host_cpus".into(), host_cpus.into()),
         ];
         write_telemetry_report(
             &out_path,
-            &tmeta,
+            tmeta,
             "runtime_sharded_mvm_2",
             &smoke_metrics_snapshot(),
             (4, 64, 64), // 2 shards × 2 macros of 64×64
@@ -721,7 +677,7 @@ fn main() {
 
     // ── fault sweep: accuracy + recovery latency vs rate.
     let mut extra_samples: Vec<Sample> = Vec::new();
-    let mut extra_meta: Vec<(String, String)> = Vec::new();
+    let mut extra_meta: Vec<(String, Json)> = Vec::new();
     fault_sweep(&mut extra_samples, &mut extra_meta);
 
     // ── serving observatory: persistent server under closed- and open-loop
@@ -729,41 +685,43 @@ fn main() {
     //    trace and live metrics stream next to the report.
     let sustained_rps = serving_observatory(&out_path, false, &mut extra_samples, &mut extra_meta);
 
-    let mut meta = vec![
-        ("bench", "bench_kernels".to_string()),
-        ("dim_matmul", "512".to_string()),
-        ("dim_array", "128".to_string()),
-        ("threads", gramc_linalg::parallel::max_threads().to_string()),
-        ("host_cpus", host_cpus.to_string()),
-        ("parallel_feature", gramc_linalg::parallel::feature_enabled().to_string()),
-        ("matmul_512_speedup_vs_naive", format!("{matmul_speedup:.3}")),
-        ("matmul_512_speedup_vs_unpacked", format!("{packed_speedup:.3}")),
-        ("lu_factor_512_speedup_vs_serial", format!("{lu_factor_speedup:.3}")),
-        ("lenet_stream_speedup_vs_per_image", format!("{lenet_speedup:.3}")),
-        ("batched_mvm_128_speedup_vs_uncached", format!("{batch_speedup:.3}")),
-        ("runtime_sharded_mvm_speedup_4_shards_vs_1", format!("{sharded_speedup_4v1:.3}")),
-    ];
     // On a single-core host the multi-shard entries cannot overlap, so the
     // speedup measures scheduler overhead, not scaling — flag it so
     // regression tooling skips it rather than reading ≈1× as a loss.
-    if host_cpus == 1 {
-        meta.push(("runtime_sharded_mvm_speedup_4_shards_vs_1_overhead_only", "true".to_string()));
-    }
-    meta.extend(extra_meta.iter().map(|(k, v)| (k.as_str(), v.clone())));
+    let overhead_only = (host_cpus == 1)
+        .then(|| ("runtime_sharded_mvm_speedup_4_shards_vs_1_overhead_only".into(), true.into()));
+    let meta: Vec<(String, Json)> = [
+        ("bench", Json::from("bench_kernels")),
+        ("dim_matmul", 512u64.into()),
+        ("dim_array", 128u64.into()),
+        ("threads", gramc_linalg::parallel::max_threads().into()),
+        ("host_cpus", host_cpus.into()),
+        ("parallel_feature", gramc_linalg::parallel::feature_enabled().into()),
+        ("matmul_512_speedup_vs_naive", matmul_speedup.into()),
+        ("matmul_512_speedup_vs_unpacked", packed_speedup.into()),
+        ("lu_factor_512_speedup_vs_serial", lu_factor_speedup.into()),
+        ("lenet_stream_speedup_vs_per_image", lenet_speedup.into()),
+        ("batched_mvm_128_speedup_vs_uncached", batch_speedup.into()),
+        ("runtime_sharded_mvm_speedup_4_shards_vs_1", sharded_speedup_4v1.into()),
+    ]
+    .map(|(k, v)| (k.to_string(), v))
+    .into_iter()
+    .chain(overhead_only.clone())
+    .chain(extra_meta)
+    .collect();
     let mut samples = r.samples().to_vec();
     samples.extend(extra_samples);
-    let json = to_json(&meta, &samples);
-    std::fs::write(&out_path, &json).expect("write benchmark json");
+    let report = to_json(meta, &samples);
+    std::fs::write(&out_path, format!("{report}\n")).expect("write benchmark json");
     println!("wrote {out_path}");
 
-    let mut tmeta =
-        vec![("bench", "bench_kernels".to_string()), ("host_cpus", host_cpus.to_string())];
-    if host_cpus == 1 {
-        tmeta.push(("runtime_sharded_mvm_speedup_4_shards_vs_1_overhead_only", "true".to_string()));
-    }
+    let tmeta = [("bench".into(), "bench_kernels".into()), ("host_cpus".into(), host_cpus.into())]
+        .into_iter()
+        .chain(overhead_only)
+        .collect();
     write_telemetry_report(
         &out_path,
-        &tmeta,
+        tmeta,
         "runtime_sharded_mvm_4",
         &serving,
         (8, 64, 64), // 4 shards × 2 macros of 64×64

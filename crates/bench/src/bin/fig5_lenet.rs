@@ -2,9 +2,10 @@
 //! INT8 (bit-sliced) and float32 weights.
 //!
 //! Paper values (MNIST): INT4 0.97613, INT8 0.985, float32 0.9878. This
-//! reproduction trains on the synthetic-digits substitute (DESIGN.md §2);
-//! the claim under test is the *ordering and spacing* of the three
-//! precisions through the analog pipeline, not the absolute MNIST numbers.
+//! reproduction trains on the synthetic-digits substitute
+//! (`gramc_data::digits`); the claim under test is the *ordering and
+//! spacing* of the three precisions through the analog pipeline, not the
+//! absolute MNIST numbers.
 //!
 //! Pass `--quick` for a reduced run.
 //!

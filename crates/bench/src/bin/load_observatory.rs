@@ -26,6 +26,7 @@ use gramc_core::tiling::TileMapping;
 use gramc_core::MacroConfig;
 use gramc_linalg::random;
 use gramc_runtime::{OperatorHandle, Placement, Runtime, RuntimeServer};
+use gramc_telemetry::json::Json;
 
 /// One measurement on a fresh serving deployment: builds the runtime,
 /// starts the server, loads a seeded 64×64 operator, runs `f`, shuts down.
@@ -135,26 +136,66 @@ fn main() {
     }
 
     if let Some(path) = out {
-        let mut samples: Vec<Sample> = vec![probe.sample()];
-        let mut meta_rows: Vec<(String, String)> = probe.meta();
-        for (rate, rep) in &reports {
-            samples.push(rep.sample());
-            meta_rows.push((format!("{}_offered_rps", rep.name), format!("{rate:.0}")));
-            meta_rows.extend(rep.meta());
-        }
-        meta_rows.insert(0, ("bench".to_string(), "load_observatory".to_string()));
-        meta_rows.insert(1, ("shards".to_string(), shards.to_string()));
-        meta_rows.insert(2, ("queue_limit".to_string(), queue_limit.to_string()));
-        meta_rows.insert(
-            3,
-            (
-                "saturation_knee_rps".to_string(),
-                knee.map_or("null".to_string(), |r| format!("{r:.0}")),
-            ),
-        );
-        let meta: Vec<(&str, String)> =
-            meta_rows.iter().map(|(k, v)| (k.as_str(), v.clone())).collect();
-        std::fs::write(&path, to_json(&meta, &samples)).expect("write observatory json");
+        let report = observatory_report(shards, queue_limit, knee, &probe, &reports);
+        std::fs::write(&path, format!("{report}\n")).expect("write observatory json");
         println!("wrote {path}");
+    }
+}
+
+/// The `--out` document: one sample and meta rows per point (probe first),
+/// after the deployment shape and the knee (`null` when not reached).
+fn observatory_report(
+    shards: usize,
+    queue_limit: usize,
+    knee: Option<f64>,
+    probe: &LoadReport,
+    reports: &[(f64, LoadReport)],
+) -> Json {
+    let mut samples: Vec<Sample> = vec![probe.sample()];
+    let mut meta: Vec<(String, Json)> = vec![
+        ("bench".into(), "load_observatory".into()),
+        ("shards".into(), shards.into()),
+        ("queue_limit".into(), queue_limit.into()),
+        ("saturation_knee_rps".into(), knee.into()),
+    ];
+    meta.extend(probe.meta());
+    for (rate, rep) in reports {
+        samples.push(rep.sample());
+        meta.push((format!("{}_offered_rps", rep.name), (*rate).into()));
+        meta.extend(rep.meta());
+    }
+    to_json(meta, &samples)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gramc_telemetry::json;
+    use gramc_telemetry::LatencyHistogram;
+
+    fn report(name: &str) -> LoadReport {
+        let latency = LatencyHistogram::new();
+        latency.record_ns(40_000);
+        LoadReport {
+            name: name.into(),
+            completed: 1,
+            rejected: 0,
+            elapsed_s: 0.1,
+            latency: latency.snapshot(),
+        }
+    }
+
+    #[test]
+    fn unreached_knee_is_json_null() {
+        let points = [(200.0, report("serving_open_200rps"))];
+        let text =
+            observatory_report(2, 64, None, &report("serving_closed_c4"), &points).to_string();
+        let meta = json::parse(&text).unwrap().get("meta").cloned().unwrap();
+        assert_eq!(meta.get("saturation_knee_rps"), Some(&Json::Null));
+        assert_eq!(meta.num("serving_open_200rps_offered_rps"), Some(200.0));
+
+        let text = observatory_report(2, 64, Some(2000.0), &report("c"), &points).to_string();
+        let meta = json::parse(&text).unwrap().get("meta").cloned().unwrap();
+        assert_eq!(meta.num("saturation_knee_rps"), Some(2000.0));
     }
 }

@@ -1,7 +1,7 @@
-//! Supplemental scaling study (EXPERIMENTS.md E8): the analog one-step
-//! solver's O(1) settling versus digital O(n³) factorization — the paper's
-//! "high speed and low power" claim made quantitative with the cost models
-//! of `gramc_core::metrics`.
+//! Supplemental scaling study (beyond the figures of `PAPER.md`): the
+//! analog one-step solver's O(1) settling versus digital O(n³)
+//! factorization — the paper's "high speed and low power" claim made
+//! quantitative with the cost models of `gramc_core::metrics`.
 //!
 //! ```sh
 //! cargo run -p gramc-bench --release --bin scaling_model

@@ -26,7 +26,8 @@
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
-use gramc_bench::json::{parse, Json};
+use gramc_runtime::METRICS_SCHEMA_VERSION as SCHEMA;
+use gramc_telemetry::json::{parse, Json};
 
 /// One `ph:"X"` slice from the trace.
 #[derive(Debug, Clone)]
@@ -243,8 +244,6 @@ fn analyze_trace(path: &str, top_n: usize, failures: &mut Vec<String>) {
 /// pinned schema, checks attribution conservation on the final record and
 /// prints the per-tenant cost table.
 fn analyze_metrics(path: &str, failures: &mut Vec<String>) {
-    // Keep in lockstep with gramc_runtime::METRICS_SCHEMA_VERSION.
-    const SCHEMA: f64 = 3.0;
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
         Err(e) => {
@@ -259,7 +258,7 @@ fn analyze_metrics(path: &str, failures: &mut Vec<String>) {
         }
         match parse(line) {
             Ok(rec) => {
-                if rec.num("schema_version") != Some(SCHEMA) {
+                if rec.num("schema_version") != Some(SCHEMA.into()) {
                     failures.push(format!("{path}:{}: schema_version != {SCHEMA}", i + 1));
                 }
                 last = Some(rec);
@@ -280,8 +279,10 @@ fn analyze_metrics(path: &str, failures: &mut Vec<String>) {
         (Some(total), Some(tenants)) => {
             for (field, value) in total {
                 let want = value.as_f64().unwrap_or(0.0);
-                let got: f64 =
-                    tenants.values().filter_map(|t| t.get("hw").and_then(|h| h.num(field))).sum();
+                let got: f64 = tenants
+                    .iter()
+                    .filter_map(|(_, t)| t.get("hw").and_then(|h| h.num(field)))
+                    .sum();
                 if got != want {
                     failures.push(format!(
                         "attribution not conservative: sum of tenants' {field} = {got}, \

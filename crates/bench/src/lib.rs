@@ -1,8 +1,8 @@
 //! # gramc-bench
 //!
 //! Benchmark harness and figure-regeneration binaries for the GRAMC
-//! reproduction. Each figure of the paper has a binary that prints the
-//! series/rows the paper plots (see DESIGN.md §5 and EXPERIMENTS.md):
+//! reproduction. Each figure of the paper (see `PAPER.md`) has a binary
+//! that prints the series/rows the paper plots:
 //!
 //! * `fig1_write_verify` — SET/RESET level-vs-pulse staircases (Fig. 1b/1c),
 //! * `fig4_validation` — MVM/INV/PINV/EGV scatter + relative errors (Fig. 4),
@@ -13,11 +13,13 @@
 //! Kernel timers (`cargo bench -p gramc-bench`) are plain `harness = false`
 //! binaries built on [`timing`] (criterion is unavailable offline); the
 //! `bench_kernels` binary additionally writes the repo-root
-//! `BENCH_kernels.json` perf baseline consumed by future PRs.
+//! `BENCH_kernels.json` perf baseline the smoke-mode perf gate reads.
+//!
+//! Every report is built, with typed `(String, Json)` metadata rows, and
+//! read back through the workspace's one JSON codec, [`gramc_telemetry::json`].
 
 #![warn(missing_docs)]
 
-pub mod json;
 pub mod loadgen;
 pub mod timing;
 

@@ -28,6 +28,7 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use gramc_runtime::{JobHandle, OperatorHandle, Runtime, RuntimeError};
+use gramc_telemetry::json::Json;
 use gramc_telemetry::{HistogramSnapshot, LatencyHistogram};
 
 use crate::timing::Sample;
@@ -83,16 +84,16 @@ impl LoadReport {
 
     /// Latency/throughput metadata rows (`<name>_p50_us`, …) for the
     /// report's `meta` block.
-    pub fn meta(&self) -> Vec<(String, String)> {
-        let us = |ns: u64| format!("{:.1}", ns as f64 / 1e3);
+    pub fn meta(&self) -> Vec<(String, Json)> {
+        let us = |ns: u64| Json::from(ns as f64 / 1e3);
         vec![
             (format!("{}_p50_us", self.name), us(self.latency.p50_ns())),
             (format!("{}_p99_us", self.name), us(self.latency.p99_ns())),
             (format!("{}_p999_us", self.name), us(self.latency.p999_ns())),
-            (format!("{}_throughput_rps", self.name), format!("{:.0}", self.throughput_rps())),
-            (format!("{}_completed", self.name), format!("{}", self.completed)),
-            (format!("{}_rejected", self.name), format!("{}", self.rejected)),
-            (format!("{}_rejection_rate", self.name), format!("{:.4}", self.rejection_rate())),
+            (format!("{}_throughput_rps", self.name), self.throughput_rps().into()),
+            (format!("{}_completed", self.name), self.completed.into()),
+            (format!("{}_rejected", self.name), self.rejected.into()),
+            (format!("{}_rejection_rate", self.name), self.rejection_rate().into()),
         ]
     }
 }

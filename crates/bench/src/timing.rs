@@ -1,12 +1,13 @@
-//! Minimal self-calibrating timing harness and JSON report writer.
+//! Minimal self-calibrating timing harness and its JSON report document.
 //!
 //! The build environment has no crates.io access, so the kernel timers are
 //! plain `harness = false` bench binaries built on this module instead of
 //! criterion: warm-up, iteration-count calibration to a target wall time,
 //! then mean/min statistics over batched runs.
 
-use std::fmt::Write as _;
 use std::time::Instant;
+
+use gramc_telemetry::json::{self, Json};
 
 /// Statistics for one timed kernel.
 #[derive(Debug, Clone, PartialEq)]
@@ -111,50 +112,29 @@ impl Reporter {
     }
 }
 
-/// Serializes samples (plus free-form metadata) as a JSON document.
-///
-/// Hand-rolled because serde is unavailable offline; the output is plain
-/// `{"meta": {...}, "kernels": {name: {mean_ms, min_ms, iters}}}`.
-pub fn to_json(meta: &[(&str, String)], samples: &[Sample]) -> String {
-    fn esc(s: &str) -> String {
-        s.replace('\\', "\\\\").replace('"', "\\\"")
-    }
-    let mut out = String::from("{\n  \"meta\": {\n");
-    for (i, (k, v)) in meta.iter().enumerate() {
-        let comma = if i + 1 < meta.len() { "," } else { "" };
-        // Finite numbers pass through unquoted; everything else, `NaN` and
-        // `inf` included, is a string, so the document stays valid JSON.
-        if v.parse::<f64>().is_ok_and(f64::is_finite) {
-            let _ = writeln!(out, "    \"{}\": {}{}", esc(k), v, comma);
-        } else {
-            let _ = writeln!(out, "    \"{}\": \"{}\"{}", esc(k), esc(v), comma);
-        }
-    }
-    out.push_str("  },\n  \"kernels\": {\n");
-    for (i, s) in samples.iter().enumerate() {
-        let comma = if i + 1 < samples.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "    \"{}\": {{\"mean_ms\": {:.6}, \"min_ms\": {:.6}, \"iters\": {}}}{}",
-            esc(&s.name),
-            s.mean_ns / 1e6,
-            s.min_ns / 1e6,
-            s.iters,
-            comma
-        );
-    }
-    out.push_str("  }\n}\n");
-    out
+/// The report document `{"meta": {...}, "kernels": {name: {mean_ms,
+/// min_ms, iters}}}`: typed metadata rows in order, then one entry per
+/// sample.
+pub fn to_json(meta: Vec<(String, Json)>, samples: &[Sample]) -> Json {
+    let kernels = samples.iter().map(|s| {
+        let stats = [
+            ("mean_ms", Json::from(s.mean_ns / 1e6)),
+            ("min_ms", (s.min_ns / 1e6).into()),
+            ("iters", s.iters.into()),
+        ];
+        (s.name.as_str(), Json::obj(stats))
+    });
+    Json::obj([("meta", Json::Obj(meta)), ("kernels", Json::obj(kernels))])
 }
 
 /// Reads one kernel's `mean_ms` (`kernels.<kernel>.mean_ms`) back out of
-/// a [`to_json`]-shaped document through the validating
-/// [`json::parse`](crate::json::parse). Returns `None` when the document
-/// does not parse or the kernel or its number is absent; the `bench_kernels`
-/// perf gate rejects an unparseable baseline up front, so there `None`
-/// means "no baseline entry for this kernel".
-pub fn read_mean_ms(json: &str, kernel: &str) -> Option<f64> {
-    crate::json::parse(json).ok()?.get("kernels")?.get(kernel)?.num("mean_ms")
+/// a [`to_json`]-shaped document through the validating [`json::parse`].
+/// Returns `None` when the document does not parse or the kernel or its
+/// number is absent; the `bench_kernels` perf gate rejects an unparseable
+/// baseline up front, so there `None` means "no baseline entry for this
+/// kernel".
+pub fn read_mean_ms(doc: &str, kernel: &str) -> Option<f64> {
+    json::parse(doc).ok()?.get("kernels")?.get(kernel)?.num("mean_ms")
 }
 
 #[cfg(test)]
@@ -172,20 +152,23 @@ mod tests {
     #[test]
     fn json_shape_is_wellformed() {
         let samples = vec![Sample { name: "k\"1".into(), iters: 3, mean_ns: 1.5e6, min_ns: 1.0e6 }];
-        let meta = [
-            ("dim", "128".into()),
-            ("host", "ci".into()),
-            ("err", format!("{:.6}", f64::NAN)),
-            ("peak", "inf".into()),
+        let meta = vec![
+            ("dim".to_string(), Json::from(128u64)),
+            ("host".to_string(), "ci".into()),
+            ("err".to_string(), Json::Str(format!("{:.6}", f64::NAN))),
+            ("peak".to_string(), "inf".into()),
+            ("err_num".to_string(), f64::NAN.into()),
         ];
-        let j = to_json(&meta, &samples);
-        assert!(j.contains("\"dim\": 128"));
-        assert!(j.contains("\"host\": \"ci\""));
-        assert!(j.contains("\"err\": \"NaN\""));
-        assert!(j.contains("\"peak\": \"inf\""));
-        assert!(crate::json::parse(&j).is_ok(), "non-finite meta must not break the document");
-        assert!(j.contains("\"k\\\"1\""));
-        assert!(j.contains("\"mean_ms\": 1.500000"));
+        let j = to_json(meta, &samples).to_string();
+        let doc = json::parse(&j).expect("non-finite meta must not break the document");
+        let meta = doc.get("meta").unwrap();
+        assert_eq!(meta.num("dim"), Some(128.0));
+        assert_eq!(meta.get("host").and_then(Json::as_str), Some("ci"));
+        assert_eq!(meta.get("err").and_then(Json::as_str), Some("NaN"));
+        assert_eq!(meta.get("peak").and_then(Json::as_str), Some("inf"));
+        assert_eq!(meta.get("err_num"), Some(&Json::Null));
+        let kernel = doc.get("kernels").unwrap().get("k\"1").unwrap();
+        assert_eq!(kernel.num("mean_ms"), Some(1.5));
         // Balanced braces.
         assert_eq!(j.matches('{').count(), j.matches('}').count());
     }
@@ -196,7 +179,7 @@ mod tests {
             Sample { name: "matmul_512".into(), iters: 10, mean_ns: 37.5e6, min_ns: 34.0e6 },
             Sample { name: "lu".into(), iters: 3, mean_ns: 2.0e6, min_ns: 1.5e6 },
         ];
-        let j = to_json(&[("bench", "x".into())], &samples);
+        let j = to_json(vec![("bench".into(), "x".into())], &samples).to_string();
         assert_eq!(read_mean_ms(&j, "matmul_512"), Some(37.5));
         assert_eq!(read_mean_ms(&j, "lu"), Some(2.0));
         assert_eq!(read_mean_ms(&j, "absent"), None);

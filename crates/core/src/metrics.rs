@@ -3,10 +3,12 @@
 //! The paper's pitch — "in-memory AMC … for its high speed and low power
 //! consumption" — rests on the analog solver's O(1) settling time versus the
 //! O(n³) digital factorization. These models make that comparison concrete
-//! for the scaling bench (EXPERIMENTS.md E8). Constants are order-of-
-//! magnitude values from the in-memory-computing literature (Sun et al.
-//! PNAS 2019; Walden-style converter figures of merit) — absolute numbers
-//! are indicative, scaling shapes are the point.
+//! for the scaling study (`scaling_model`, `benches/scaling.rs`).
+//! Constants are order-of-magnitude values from the in-memory-computing
+//! literature (Sun et al. PNAS 2019; Walden-style converter figures of
+//! merit) — absolute numbers are indicative, scaling shapes are the point.
+
+use gramc_telemetry::json::Json;
 
 /// Latency + energy estimate for one operation.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -15,6 +17,13 @@ pub struct Cost {
     pub latency: f64,
     /// Joules.
     pub energy: f64,
+}
+
+/// `{"latency_s": …, "energy_j": …}`: the artifacts' `modeled` blocks.
+impl From<Cost> for Json {
+    fn from(c: Cost) -> Self {
+        Json::obj([("latency_s", c.latency), ("energy_j", c.energy)])
+    }
 }
 
 impl Cost {

@@ -1,5 +1,5 @@
-//! Procedural 28×28 digit dataset — the offline substitute for MNIST
-//! (substitution documented in DESIGN.md §2).
+//! Procedural 28×28 digit dataset — the offline substitute for MNIST, which
+//! is not available offline.
 //!
 //! Each digit class is a polyline skeleton on a 28×28 canvas; samples are
 //! produced by applying a random affine transform (rotation, scale,

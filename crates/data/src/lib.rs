@@ -3,7 +3,7 @@
 //! Workload generators for the paper's experiments:
 //!
 //! * [`digits`] — procedural 28×28 digit images (the offline MNIST
-//!   substitute for Fig. 5; see DESIGN.md §2),
+//!   substitute for Fig. 5 of `PAPER.md`),
 //! * [`pm25`] — synthetic 128×6 air-quality regression (the PM2.5
 //!   substitute for Fig. 4c),
 //! * graph utilities for the PageRank-style EGV example.

@@ -1,5 +1,5 @@
 //! Synthetic air-quality regression set — the offline substitute for the
-//! PM2.5 dataset of Fig. 4(c) (substitution documented in DESIGN.md §2).
+//! PM2.5 dataset of Fig. 4(c) in `PAPER.md`, which is not available offline.
 //!
 //! The paper's PINV experiment solves a 128-sample × 6-feature linear
 //! regression. This generator produces a design matrix with realistic

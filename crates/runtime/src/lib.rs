@@ -133,7 +133,8 @@
 //!   the admission-rejection count and per-shard
 //!   steal/retry/requeue/quarantine/busy-time counters;
 //!   [`MetricsSnapshot::to_json`] serializes the lot under a pinned
-//!   `schema_version` ([`METRICS_SCHEMA_VERSION`]).
+//!   `schema_version` ([`METRICS_SCHEMA_VERSION`]), and
+//!   `Json::from(&snapshot)` embeds it in larger documents.
 //! * **Event journal** — submit/coalesce/rejection instants, per-job
 //!   duration spans, probe spans and health events land in a bounded
 //!   preallocated ring; [`Runtime::journal_chrome_trace`] exports it for
@@ -199,8 +200,9 @@
 //! ### Metrics JSONL stream
 //!
 //! [`MetricsReporter`] snapshots a served runtime on a fixed interval and
-//! appends one compact JSON object per line
-//! ([`MetricsSnapshot::to_jsonl_line`]). Each record carries
+//! appends one JSON object per line ([`MetricsSnapshot::to_jsonl_line`]:
+//! the compact writer of `gramc_telemetry::json` prints a snapshot on one
+//! line). Each record carries
 //! `schema_version`, the three stage histograms (`count`, `mean_ns`, the
 //! `p50/p90/p99/p999/max` ladder), `queue_depth` / `queue_depth_max` /
 //! `rejected`, per-shard scheduler counters with `busy_ns` utilization

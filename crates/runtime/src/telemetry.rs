@@ -12,6 +12,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use gramc_core::metrics::{AnalogCostModel, Cost};
+use gramc_telemetry::json::Json;
 use gramc_telemetry::{EventJournal, HistogramSnapshot, HwCounters, HwSnapshot, LatencyHistogram};
 
 use crate::job::JobKind;
@@ -425,129 +426,89 @@ impl MetricsSnapshot {
         model.attribute(&self.hw_total)
     }
 
-    /// Serializes the snapshot as a self-contained JSON object (hand-rolled
-    /// — the workspace has no serde). Hardware counters are priced through
-    /// the default [`AnalogCostModel`]; histograms report count, mean and
-    /// the p50/p90/p99/p999/max ladder in nanoseconds. The layout is
-    /// versioned by the `"schema_version"` key
+    /// Serializes the snapshot as one compact JSON object through the
+    /// workspace codec ([`gramc_telemetry::json`]). Hardware counters are
+    /// priced through the default [`AnalogCostModel`]; histograms report
+    /// count, mean and the p50/p90/p99/p999/max ladder in nanoseconds. The
+    /// layout is versioned by the `"schema_version"` key
     /// ([`METRICS_SCHEMA_VERSION`]).
     pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let model = AnalogCostModel::default();
-        let hist = |h: &HistogramSnapshot| {
-            format!(
-                "{{\"count\": {}, \"mean_ns\": {:.1}, \"p50_ns\": {}, \"p90_ns\": {}, \
-                 \"p99_ns\": {}, \"p999_ns\": {}, \"max_ns\": {}}}",
-                h.count,
-                h.mean_ns(),
-                h.p50_ns(),
-                h.p90_ns(),
-                h.p99_ns(),
-                h.p999_ns(),
-                h.max_ns
-            )
-        };
-        let hw_json = |hw: &HwSnapshot| {
-            let mut s = String::from("{");
-            for (i, (name, v)) in hw.fields().iter().enumerate() {
-                let comma = if i + 1 < gramc_telemetry::HW_FIELDS { ", " } else { "" };
-                let _ = write!(s, "\"{name}\": {v}{comma}");
-            }
-            s.push('}');
-            s
-        };
-        let cost_json = |hw: &HwSnapshot| {
-            let c = model.attribute(hw);
-            format!("{{\"latency_s\": {:e}, \"energy_j\": {:e}}}", c.latency, c.energy)
-        };
-        let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"schema_version\": {},", METRICS_SCHEMA_VERSION);
-        let _ = writeln!(out, "  \"submit_to_dispatch\": {},", hist(&self.submit_to_dispatch));
-        let _ = writeln!(out, "  \"dispatch_to_complete\": {},", hist(&self.dispatch_to_complete));
-        let _ = writeln!(out, "  \"submit_to_complete\": {},", hist(&self.submit_to_complete));
-        let _ = writeln!(out, "  \"queue_depth\": {},", self.queue_depth);
-        let _ = writeln!(out, "  \"queue_depth_max\": {},", self.queue_depth_max);
-        let _ = writeln!(out, "  \"rejected\": {},", self.rejected);
-        out.push_str("  \"shards\": [\n");
-        for (i, s) in self.shards.iter().enumerate() {
-            let comma = if i + 1 < self.shards.len() { "," } else { "" };
-            let _ = writeln!(
-                out,
-                "    {{\"steals\": {}, \"retries\": {}, \"requeues\": {}, \
-                 \"quarantines\": {}, \"busy_ns\": {}}}{}",
-                s.steals, s.retries, s.requeues, s.quarantines, s.busy_ns, comma
-            );
-        }
-        out.push_str("  ],\n  \"kinds\": {\n");
-        for (i, k) in self.kinds.iter().enumerate() {
-            let comma = if i + 1 < self.kinds.len() { "," } else { "" };
-            let _ = writeln!(
-                out,
-                "    \"{}\": {{\"jobs\": {}, \"hw\": {}, \"modeled\": {}}}{}",
-                k.kind,
-                k.jobs,
-                hw_json(&k.hw),
-                cost_json(&k.hw),
-                comma
-            );
-        }
-        out.push_str("  },\n");
-        let _ = writeln!(out, "  \"hw_total\": {},", hw_json(&self.hw_total));
-        let _ = writeln!(out, "  \"modeled_total\": {},", cost_json(&self.hw_total));
-        out.push_str("  \"tenants\": {\n");
-        for (i, t) in self.tenants.iter().enumerate() {
-            let comma = if i + 1 < self.tenants.len() { "," } else { "" };
-            let _ = writeln!(
-                out,
-                "    \"{}\": {{\"in_flight\": {}, \"requests\": {}, \"rejected\": {}, \
-                 \"latency\": {}, \"hw\": {}, \"modeled\": {}}}{}",
-                t.tenant,
-                t.in_flight,
-                t.requests,
-                t.rejected,
-                hist(&t.latency),
-                hw_json(&t.hw),
-                cost_json(&t.hw),
-                comma
-            );
-        }
-        out.push_str("  },\n");
-        let _ = writeln!(
-            out,
-            "  \"slo\": {{\"latency_alerts\": {}, \"rejection_alerts\": {}, \
-             \"latency_burn\": {:.3}, \"rejection_burn\": {:.3}, \
-             \"latency_alerting\": {}, \"rejection_alerting\": {}}},",
-            self.slo.latency_alerts,
-            self.slo.rejection_alerts,
-            self.slo.latency_burn,
-            self.slo.rejection_burn,
-            self.slo.latency_alerting,
-            self.slo.rejection_alerting
-        );
-        let drop_rate = self.journal_dropped_since_last as f64 / self.journal_len.max(1) as f64;
-        let _ = writeln!(
-            out,
-            "  \"journal\": {{\"len\": {}, \"capacity\": {}, \"overwritten\": {}, \
-             \"dropped_since_last\": {}, \"drop_rate\": {:.3}}}",
-            self.journal_len,
-            self.journal_capacity,
-            self.journal_overwritten,
-            self.journal_dropped_since_last,
-            drop_rate
-        );
-        out.push_str("}\n");
-        out
+        Json::from(self).to_string()
     }
 
-    /// [`to_json`](Self::to_json) flattened onto one line — the record
-    /// format of the live metrics JSONL stream
-    /// ([`MetricsReporter`](crate::MetricsReporter)). No key or string in
-    /// the document contains whitespace, so collapsing the pretty layout
-    /// yields valid compact JSON.
+    /// [`to_json`](Self::to_json) plus a newline — the record format of
+    /// the live metrics JSONL stream
+    /// ([`MetricsReporter`](crate::MetricsReporter)): the writer is
+    /// compact, so every snapshot is one line.
     pub fn to_jsonl_line(&self) -> String {
-        let mut line: String = self.to_json().split_whitespace().collect::<Vec<_>>().join(" ");
-        line.push('\n');
-        line
+        self.to_json() + "\n"
+    }
+}
+
+/// [`MetricsSnapshot::to_json`] as a value, for documents that embed the
+/// snapshot.
+impl From<&MetricsSnapshot> for Json {
+    fn from(snap: &MetricsSnapshot) -> Self {
+        let model = AnalogCostModel::default();
+        let cost = |hw: &HwSnapshot| Json::from(model.attribute(hw));
+        let shards = snap.shards.iter().map(|s| {
+            Json::obj([
+                ("steals", s.steals),
+                ("retries", s.retries),
+                ("requeues", s.requeues),
+                ("quarantines", s.quarantines),
+                ("busy_ns", s.busy_ns),
+            ])
+        });
+        let kinds = snap.kinds.iter().map(|k| {
+            let members =
+                [("jobs", Json::from(k.jobs)), ("hw", (&k.hw).into()), ("modeled", cost(&k.hw))];
+            (k.kind, Json::obj(members))
+        });
+        let tenants = snap.tenants.iter().map(|t| {
+            let members = [
+                ("in_flight", Json::from(t.in_flight)),
+                ("requests", t.requests.into()),
+                ("rejected", t.rejected.into()),
+                ("latency", (&t.latency).into()),
+                ("hw", (&t.hw).into()),
+                ("modeled", cost(&t.hw)),
+            ];
+            (t.tenant.to_string(), Json::obj(members))
+        });
+        let slo = &snap.slo;
+        let slo = Json::obj([
+            ("latency_alerts", Json::from(slo.latency_alerts)),
+            ("rejection_alerts", slo.rejection_alerts.into()),
+            ("latency_burn", slo.latency_burn.into()),
+            ("rejection_burn", slo.rejection_burn.into()),
+            ("latency_alerting", slo.latency_alerting.into()),
+            ("rejection_alerting", slo.rejection_alerting.into()),
+        ]);
+        let drop_rate = snap.journal_dropped_since_last as f64 / snap.journal_len.max(1) as f64;
+        let journal = Json::obj([
+            ("len", Json::from(snap.journal_len)),
+            ("capacity", snap.journal_capacity.into()),
+            ("overwritten", snap.journal_overwritten.into()),
+            ("dropped_since_last", snap.journal_dropped_since_last.into()),
+            ("drop_rate", drop_rate.into()),
+        ]);
+        Json::obj([
+            ("schema_version", Json::from(METRICS_SCHEMA_VERSION)),
+            ("submit_to_dispatch", (&snap.submit_to_dispatch).into()),
+            ("dispatch_to_complete", (&snap.dispatch_to_complete).into()),
+            ("submit_to_complete", (&snap.submit_to_complete).into()),
+            ("queue_depth", snap.queue_depth.into()),
+            ("queue_depth_max", snap.queue_depth_max.into()),
+            ("rejected", snap.rejected.into()),
+            ("shards", Json::Arr(shards.collect())),
+            ("kinds", Json::obj(kinds)),
+            ("hw_total", (&snap.hw_total).into()),
+            ("modeled_total", cost(&snap.hw_total)),
+            ("tenants", Json::obj(tenants)),
+            ("slo", slo),
+            ("journal", journal),
+        ])
     }
 }
 
@@ -614,7 +575,8 @@ mod tests {
         assert!(line.ends_with('\n'));
         assert_eq!(line.trim_end().matches('\n').count(), 0);
         assert_eq!(line.matches('{').count(), line.matches('}').count());
-        assert!(line.contains("\"schema_version\": 3"));
+        let rec = gramc_telemetry::json::parse(&line).unwrap();
+        assert_eq!(rec.num("schema_version"), Some(3.0));
     }
 
     #[test]

@@ -183,7 +183,8 @@ fn metrics_stream_schema_version_is_pinned() {
     assert_eq!(lines.len(), lines_written, "one record per line");
     for line in lines {
         assert!(line.starts_with('{') && line.ends_with('}'), "not a JSON object: {line}");
-        assert!(line.contains("\"schema_version\": 3"), "schema version missing: {line}");
+        let rec = gramc_telemetry::json::parse(line).expect("record parses");
+        assert_eq!(rec.num("schema_version"), Some(3.0), "schema version missing: {line}");
         assert!(line.contains("\"tenants\""), "tenants section missing: {line}");
         assert!(line.contains("\"slo\""), "slo section missing: {line}");
         assert!(line.contains("\"drop_rate\""), "journal drop rate missing: {line}");

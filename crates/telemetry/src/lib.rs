@@ -4,7 +4,9 @@
 //! hardware counters ([`HwCounters`] / [`HwSnapshot`]), lock-free
 //! log-bucketed latency histograms ([`LatencyHistogram`]), and a bounded
 //! structured event journal ([`EventJournal`]) exportable in the
-//! chrome://tracing trace-event format.
+//! chrome://tracing trace-event format, and the workspace's one JSON
+//! codec ([`json`]): every artifact is written and read through its
+//! [`Json`] value.
 //!
 //! Everything here is **observation only**: no RNG, no floating-point state
 //! that feeds back into the simulation, no allocation on record paths (the
@@ -15,10 +17,14 @@
 
 #![warn(missing_docs)]
 
+pub mod json;
+
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
+
+use json::Json;
 
 /// Number of hardware counter fields (also the length of
 /// [`HwSnapshot::fields`]).
@@ -541,36 +547,30 @@ impl EventJournal {
         (out, self.overwritten() > 0)
     }
 
-    /// Exports the journal in chrome://tracing "trace event" JSON (an array
-    /// of `X` duration and `i` instant events; open via `chrome://tracing`
-    /// or Perfetto). `arg_a` becomes the track (`tid`), so per-shard lanes
-    /// render separately.
-    ///
-    /// A journal that has not wrapped exports exactly like the free
-    /// [`to_chrome_trace`]. Once it has wrapped, the `f` record of a flow
-    /// end whose start is no longer held is left out: a start is always
-    /// recorded before its end, so only the overwrite edge can orphan one.
+    /// Exports the journal as a chrome://tracing trace (see the free
+    /// [`to_chrome_trace`]; open via `chrome://tracing` or Perfetto). Once
+    /// the ring has wrapped, the `f` record of a flow end whose start is no
+    /// longer held is left out: a start is always recorded before its end,
+    /// so only the overwrite edge can orphan one.
     pub fn to_chrome_trace(&self) -> String {
         let (events, wrapped) = self.held();
-        if !wrapped {
-            return to_chrome_trace(&events);
-        }
         let starts: HashSet<u64> =
             events.iter().filter(|e| e.flow == FlowPhase::Start).map(|e| e.flow_id).collect();
-        chrome_trace(&events, |id| starts.contains(&id))
+        chrome_trace(&events, |id| !wrapped || starts.contains(&id))
     }
 }
 
-/// Formats journal events as a chrome://tracing trace-event JSON array.
+/// Formats journal events as a chrome://tracing trace-event JSON array,
+/// one record per line ([`json::array_lines`]).
 ///
-/// Duration records become `X` slices, zero-duration records become `i`
-/// instants. A record with a [`FlowPhase`] additionally emits the chrome
-/// flow record (`s` to start the arrow, `f` with `bp:"e"` to land it):
-/// the flow record shares the slice's `pid`/`tid` and is timestamped at
-/// the slice midpoint, so chrome binds it to that slice. Flow-carrying
-/// `X` slices also expose the flow id as `args.req`, which is what the
-/// offline `trace_analyze` tooling keys on. Every flow end is exported,
-/// with or without a matching start.
+/// Duration records become `X` slices, zero-duration records `i` instants,
+/// drawn on track `tid` = `arg_a` so per-shard lanes render separately. A
+/// record with a [`FlowPhase`] additionally emits the chrome flow record
+/// (`s` to start the arrow, `f` with `bp:"e"` to land it), which shares the
+/// slice's `pid`/`tid` and is timestamped at the slice midpoint, so chrome
+/// binds it to that slice. Flow-carrying `X` slices also expose the flow
+/// id as `args.req`, which the offline `trace_analyze` tooling keys on.
+/// Every flow end is exported, with or without a matching start.
 pub fn to_chrome_trace(events: &[JournalEvent]) -> String {
     chrome_trace(events, |_| true)
 }
@@ -578,64 +578,40 @@ pub fn to_chrome_trace(events: &[JournalEvent]) -> String {
 /// [`to_chrome_trace`], emitting a flow end's `f` record only when
 /// `keep_end(flow_id)` holds.
 fn chrome_trace(events: &[JournalEvent], keep_end: impl Fn(u64) -> bool) -> String {
-    let mut out = String::from("[\n");
-    // Flow records are appended after their carrier, so commas between
-    // records are decided by position in the output, not the input.
-    let mut records: Vec<String> = Vec::with_capacity(events.len());
-    for ev in events {
-        let ts_us = ev.ts_ns as f64 / 1e3;
-        if ev.dur_ns > 0 {
-            let req = match ev.flow {
-                FlowPhase::None => String::new(),
-                _ => format!(",\"req\":{}", ev.flow_id),
-            };
-            records.push(format!(
-                "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{:.3},\"dur\":{:.3},\
-                 \"pid\":0,\"tid\":{},\"args\":{{\"a\":{},\"b\":{}{}}}}}",
-                ev.name,
-                ev.category,
-                ts_us,
-                ev.dur_ns as f64 / 1e3,
-                ev.arg_a,
-                ev.arg_a,
-                ev.arg_b,
-                req,
-            ));
+    let us = |ns: u64| Json::from(ns as f64 / 1e3);
+    json::array_lines(events.iter().flat_map(|ev| {
+        // Every record is name, category, its phase members, then the
+        // track it draws on and (for slices and instants) its arguments.
+        let record = |name: &str, cat: &str, phase: Vec<(&str, Json)>, args: Option<Json>| {
+            let head = [("name", Json::from(name)), ("cat", cat.into())];
+            let track = [("pid", Json::from(0u64)), ("tid", ev.arg_a.into())];
+            Json::obj(head.into_iter().chain(phase).chain(track).chain(args.map(|a| ("args", a))))
+        };
+        let req = (ev.flow != FlowPhase::None).then_some(("req", Json::from(ev.flow_id)));
+        let args =
+            Json::obj([("a", Json::from(ev.arg_a)), ("b", ev.arg_b.into())].into_iter().chain(req));
+        let ts = us(ev.ts_ns);
+        let carrier = if ev.dur_ns > 0 {
+            Some(vec![("ph", "X".into()), ("ts", ts), ("dur", us(ev.dur_ns))])
         } else if ev.flow == FlowPhase::None {
-            records.push(format!(
-                "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{:.3},\
-                 \"pid\":0,\"tid\":{},\"args\":{{\"a\":{},\"b\":{}}}}}",
-                ev.name, ev.category, ts_us, ev.arg_a, ev.arg_a, ev.arg_b,
-            ));
-        }
-        match ev.flow {
-            FlowPhase::None => {}
-            FlowPhase::End if !keep_end(ev.flow_id) => {}
-            FlowPhase::Start | FlowPhase::End => {
-                // Timestamp inside the carrier slice (its midpoint; the
-                // record's own ts for zero-duration carriers) so the
-                // arrow binds to that slice.
-                let bind_us = (ev.ts_ns + ev.dur_ns / 2) as f64 / 1e3;
-                let (ph, bp) = match ev.flow {
-                    FlowPhase::Start => ("s", ""),
-                    _ => ("f", ",\"bp\":\"e\""),
-                };
-                records.push(format!(
-                    "{{\"name\":\"req\",\"cat\":\"flow\",\"ph\":\"{}\"{},\"id\":{},\
-                     \"ts\":{:.3},\"pid\":0,\"tid\":{}}}",
-                    ph, bp, ev.flow_id, bind_us, ev.arg_a,
-                ));
-            }
-        }
-    }
-    for (i, rec) in records.iter().enumerate() {
-        let comma = if i + 1 < records.len() { "," } else { "" };
-        out.push_str(rec);
-        out.push_str(comma);
-        out.push('\n');
-    }
-    out.push_str("]\n");
-    out
+            Some(vec![("ph", "i".into()), ("s", "t".into()), ("ts", ts)])
+        } else {
+            None
+        };
+        let carrier = carrier.map(|phase| record(ev.name, ev.category, phase, Some(args)));
+        // Timestamp inside the carrier slice (its midpoint; the record's
+        // own ts for zero-duration carriers) so the arrow binds to that
+        // slice.
+        let (id, bind) = (("id", Json::from(ev.flow_id)), ("ts", us(ev.ts_ns + ev.dur_ns / 2)));
+        let flow = match ev.flow {
+            FlowPhase::None => None,
+            FlowPhase::End if !keep_end(ev.flow_id) => None,
+            FlowPhase::Start => Some(vec![("ph", "s".into()), id, bind]),
+            FlowPhase::End => Some(vec![("ph", "f".into()), ("bp", "e".into()), id, bind]),
+        };
+        let flow = flow.map(|phase| record("req", "flow", phase, None));
+        [carrier, flow].into_iter().flatten()
+    }))
 }
 
 #[cfg(test)]
@@ -800,7 +776,10 @@ mod tests {
         // The carrier slice exposes the flow id for offline analysis.
         assert!(trace.contains("\"req\":42"), "args.req on the carrier: {trace}");
         // The flow start binds inside its carrier slice (midpoint 2 µs).
-        assert!(trace.contains("\"ph\":\"s\",\"id\":42,\"ts\":2.000"), "{trace}");
+        let records = json::parse(&trace).unwrap();
+        let start = records.as_arr().unwrap().iter().find(|r| r.get("ph") == Some(&"s".into()));
+        assert_eq!(start.and_then(|r| r.num("id")), Some(42.0), "{trace}");
+        assert_eq!(start.and_then(|r| r.num("ts")), Some(2.0), "{trace}");
         assert_eq!(trace.matches('{').count(), trace.matches('}').count());
         assert_eq!(trace.matches('[').count(), trace.matches(']').count());
     }
