@@ -16,6 +16,7 @@
 //!   EGV loop (the settled state of the saturating transient; see
 //!   `gramc-circuit::transient` docs), iterated behaviourally.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use gramc_array::{
@@ -234,6 +235,16 @@ pub struct EgvSolution {
     pub lambda_level: usize,
 }
 
+/// One differential pair's read-out in volts: its TIA turns the current
+/// difference `I⁺ − I⁻` into `−(I⁺ − I⁻)/g_f` plus the row's output offset,
+/// and its own ADC converts that. A bit-sliced operator's two pairs are
+/// recombined (`16·hi + lo`) digitally *after* conversion: an analog ×16
+/// would blow past the converter rails, which is the entire reason bit
+/// slicing recombines digitally.
+fn adc_read(adc: Adc, g_f: f64, i_pos: f64, i_neg: f64, offset: f64) -> f64 {
+    adc.convert(-(i_pos - i_neg) / g_f + offset) * adc.v_ref()
+}
+
 /// A group of AMC macros with shared control (paper Fig. 2 "AMC macro
 /// group"; the full system has 16 macros, Fig. 3).
 ///
@@ -341,7 +352,11 @@ impl MacroGroup {
         Ok(&op.info)
     }
 
-    /// Releases the macros held by an operator.
+    /// Releases the macros held by an operator. The operator's slot stays
+    /// behind as a tombstone, so a stale id keeps failing with a typed
+    /// error, but its quantized matrix, row sums and plane list are dropped
+    /// with it: a long-lived group that loads and frees layer after layer
+    /// holds no memory for the operators it has released.
     ///
     /// # Errors
     ///
@@ -352,9 +367,10 @@ impl MacroGroup {
             return Err(CoreError::InvalidOperator);
         }
         op.freed = true;
-        let macro_ids: Vec<usize> = op.planes.iter().map(|p| p.macro_id).collect();
-        for mid in macro_ids {
-            self.macros[mid].owner = None;
+        op.info.quantized = Matrix::default();
+        op.row_g_sum = Vec::new();
+        for p in std::mem::take(&mut op.planes) {
+            self.macros[p.macro_id].owner = None;
         }
         Ok(())
     }
@@ -601,6 +617,18 @@ impl MacroGroup {
         }
     }
 
+    /// Each output row's TIA input offset referred to the output through
+    /// its noise gain `1 + ΣG_row/g_f`. It is the same for every input, so
+    /// the MVM decode computes it once per call, not once per conversion.
+    fn output_offsets(&self, op: &Operator) -> Vec<f64> {
+        let bank = &self.macros[op.planes[0].macro_id];
+        op.row_g_sum
+            .iter()
+            .enumerate()
+            .map(|(i, &g)| bank.opamp_offset(i) * (1.0 + g / op.g_f))
+            .collect()
+    }
+
     /// Conversion factor: matrix units of output per (ampere / volt-scale).
     fn current_decode(&self, scale: f64, v_scale: f64) -> f64 {
         scale / (self.quantizer.step() * v_scale)
@@ -650,27 +678,18 @@ impl MacroGroup {
 
         // TIA feedback sized at load time for the worst-case row current.
         let op_ref = self.operator(id)?;
-        let g_f = op_ref.g_f;
-        let row_g_sum = op_ref.row_g_sum.clone();
+        let (g_f, offsets) = (op_ref.g_f, self.output_offsets(op_ref));
         let adc = self.macros[planes[0].macro_id].adc;
         let conv = self.current_decode(scale, v_scale);
         let mut y = Vec::with_capacity(rows);
-        for i in 0..rows {
-            // Each differential pair is captured by its own TIA + ADC; the
-            // nibble shift-add (×16) happens digitally AFTER conversion —
-            // an analog ×16 would blow past the converter rails, which is
-            // the entire reason bit slicing recombines digitally.
-            let offset = self.macros[planes[0].macro_id].opamp_offset(i);
-            let noise_gain = 1.0 + row_g_sum[i] / g_f;
-            let mut pair_values = Vec::with_capacity(nplanes / 2);
-            for pair in 0..nplanes / 2 {
-                let i_diff = currents[2 * pair][i] - currents[2 * pair + 1][i];
-                let v_out = -i_diff / g_f + offset * noise_gain;
-                pair_values.push(adc.convert(v_out) * adc.v_ref());
-            }
+        for (i, &offset) in offsets.iter().enumerate() {
+            // The nibble shift-add (×16) happens digitally AFTER conversion
+            // (see `adc_read`).
+            let pair =
+                |p: usize| adc_read(adc, g_f, currents[2 * p][i], currents[2 * p + 1][i], offset);
             let v_combined = match nplanes {
-                2 => pair_values[0],
-                4 => 16.0 * pair_values[0] + pair_values[1],
+                2 => pair(0),
+                4 => 16.0 * pair(0) + pair(1),
                 _ => unreachable!("operators have 2 or 4 planes"),
             };
             y.push(-v_combined * g_f * conv);
@@ -703,12 +722,7 @@ impl MacroGroup {
                 return Err(CoreError::ShapeMismatch { expected: cols, found: x.len() });
             }
         }
-        let mut v = Matrix::zeros(xs.len(), cols);
-        for (b, x) in xs.iter().enumerate() {
-            v.row_mut(b).copy_from_slice(x);
-        }
-        let out = self.mvm_batch_rows(id, &v)?;
-        Ok((0..out.rows()).map(|b| out.row(b).to_vec()).collect())
+        Ok(self.mvm_batch_rows(id, &Matrix::from_row_vecs(cols, xs))?.to_row_vecs())
     }
 
     /// [`mvm_batch`](Self::mvm_batch) on matrix batches: row `b` of `xs` is
@@ -716,6 +730,19 @@ impl MacroGroup {
     /// zero-copy streaming form the `gramc-nn` drive-matrix pipeline feeds
     /// directly (no per-vector `Vec`s on either side); the slice-based
     /// `mvm_batch` is a thin wrapper around it.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::ShapeMismatch`] if `xs.cols()` differs from the
+    /// operator's column count, plus stale-handle errors.
+    pub fn mvm_batch_rows(&mut self, id: OperatorId, xs: &Matrix) -> Result<Matrix, CoreError> {
+        self.mvm_batch_cols(id, xs, 0..xs.cols())
+    }
+
+    /// [`mvm_batch_rows`](Self::mvm_batch_rows) through a column window:
+    /// the DACs read columns `cols` of each row of `xs` in place, so a tile
+    /// of a larger operator is driven straight from the whole drive matrix
+    /// without copying its column slice out first.
     ///
     /// The per-plane products run in plane order on the calling thread, so
     /// a small serving batch spawns no thread at all; a large batch still
@@ -725,16 +752,24 @@ impl MacroGroup {
     ///
     /// # Errors
     ///
-    /// [`CoreError::ShapeMismatch`] if `xs.cols()` differs from the
-    /// operator's column count, plus stale-handle errors.
-    pub fn mvm_batch_rows(&mut self, id: OperatorId, xs: &Matrix) -> Result<Matrix, CoreError> {
+    /// [`CoreError::ShapeMismatch`] if the window's width differs from the
+    /// operator's column count or the window reaches past `xs` (then
+    /// `expected` is the width the window needs), plus stale-handle errors.
+    pub fn mvm_batch_cols(
+        &mut self,
+        id: OperatorId,
+        xs: &Matrix,
+        cols: Range<usize>,
+    ) -> Result<Matrix, CoreError> {
         let op = self.operator(id)?;
-        let (rows, cols, scale, nplanes) =
-            (op.info.rows, op.info.cols, op.info.scale, op.info.planes);
-        let (planes, g_f, row_g_sum) = (op.planes.clone(), op.g_f, op.row_g_sum.clone());
-        if xs.cols() != cols {
-            return Err(CoreError::ShapeMismatch { expected: cols, found: xs.cols() });
+        let (rows, scale, nplanes) = (op.info.rows, op.info.scale, op.info.planes);
+        if cols.len() != op.info.cols {
+            return Err(CoreError::ShapeMismatch { expected: op.info.cols, found: cols.len() });
         }
+        if cols.end > xs.cols() {
+            return Err(CoreError::ShapeMismatch { expected: cols.end, found: xs.cols() });
+        }
+        let (planes, g_f, offsets) = (op.planes.clone(), op.g_f, self.output_offsets(op));
         self.configure_operator(id, MacroMode::Mvm)?;
         // One conductance read per plane for the whole batch, held
         // pre-transposed so the whole batch multiplies through the blocked
@@ -763,10 +798,10 @@ impl MacroGroup {
         // DAC-converted drive matrix, one batch vector per row (all-zero
         // inputs keep their exact-zero output without touching the arrays).
         let bsz = xs.rows();
-        let mut v_mat = Matrix::zeros(bsz, cols);
+        let mut v_mat = Matrix::zeros(bsz, cols.len());
         let mut x_maxes = vec![0.0; bsz];
         for (b, x_max) in x_maxes.iter_mut().enumerate() {
-            let x = xs.row(b);
+            let x = &xs.row(b)[cols.clone()];
             *x_max = vector::norm_inf(x);
             if *x_max == 0.0 {
                 continue;
@@ -780,38 +815,39 @@ impl MacroGroup {
         // each nonzero batch row drives the DACs once, settles every plane,
         // reads every cell of every plane, and converts rows × pairs ADCs.
         let driven = x_maxes.iter().filter(|&&m| m != 0.0).count() as u64;
-        self.telemetry.add_dac_drives(driven * cols as u64);
+        self.telemetry.add_dac_drives(driven * cols.len() as u64);
         self.telemetry.add_settle_events(driven * nplanes as u64);
-        self.telemetry.add_read_cycles_mvm(driven * (nplanes * rows * cols) as u64);
+        self.telemetry.add_read_cycles_mvm(driven * (nplanes * rows * cols.len()) as u64);
         self.telemetry.add_adc_conversions(driven * (rows * (nplanes / 2)) as u64);
         // The planes settle in one analog step; digitally each is one
         // product, threaded over row blocks only when the batch is large.
         let currents: Vec<Matrix> = gs_t.iter().map(|g_t| v_mat.matmul(g_t)).collect();
+        // One ADC read per row per differential pair (see `adc_read`),
+        // walking each pair's product rows as slices.
         let mut out = Matrix::zeros(bsz, rows);
         for (b, &x_max) in x_maxes.iter().enumerate() {
             if x_max == 0.0 {
                 continue;
             }
-            let v_scale = self.config.v_read / x_max;
-            let conv = self.current_decode(scale, v_scale);
+            let conv = self.current_decode(scale, self.config.v_read / x_max);
+            let (hi_pos, hi_neg) = (currents[0].row(b), currents[1].row(b));
             let y = out.row_mut(b);
-            for (i, yi) in y.iter_mut().enumerate() {
-                let offset = self.macros[planes[0].macro_id].opamp_offset(i);
-                let noise_gain = 1.0 + row_g_sum[i] / g_f;
-                // At most two differential pairs (2 or 4 planes): a fixed
-                // array keeps the hot decode loop allocation-free.
-                let mut pair_values = [0.0_f64; 2];
-                for (pair, pv) in pair_values.iter_mut().take(nplanes / 2).enumerate() {
-                    let i_diff = currents[2 * pair][(b, i)] - currents[2 * pair + 1][(b, i)];
-                    let v_out = -i_diff / g_f + offset * noise_gain;
-                    *pv = adc.convert(v_out) * adc.v_ref();
+            match nplanes {
+                2 => {
+                    let pairs = hi_pos.iter().zip(hi_neg).zip(&offsets);
+                    for (yi, ((&ip, &ineg), &offset)) in y.iter_mut().zip(pairs) {
+                        *yi = -adc_read(adc, g_f, ip, ineg, offset) * g_f * conv;
+                    }
                 }
-                let v_combined = match nplanes {
-                    2 => pair_values[0],
-                    4 => 16.0 * pair_values[0] + pair_values[1],
-                    _ => unreachable!("operators have 2 or 4 planes"),
-                };
-                *yi = -v_combined * g_f * conv;
+                4 => {
+                    let (lo_pos, lo_neg) = (currents[2].row(b), currents[3].row(b));
+                    for (i, yi) in y.iter_mut().enumerate() {
+                        let hi = adc_read(adc, g_f, hi_pos[i], hi_neg[i], offsets[i]);
+                        let lo = adc_read(adc, g_f, lo_pos[i], lo_neg[i], offsets[i]);
+                        *yi = -(16.0 * hi + lo) * g_f * conv;
+                    }
+                }
+                _ => unreachable!("operators have 2 or 4 planes"),
             }
         }
         Ok(out)
@@ -1603,18 +1639,23 @@ mod tests {
         fn check(g: &mut MacroGroup, op: OperatorId, rng: &mut StdRng, bsz: usize) {
             let cols = g.operator_info(op).unwrap().cols;
             let xs: Vec<Vec<f64>> = (0..bsz).map(|_| random::normal_vector(rng, cols)).collect();
-            let mut m = Matrix::zeros(bsz, cols);
+            let m = Matrix::from_row_vecs(cols, &xs);
+            // The same inputs as a column window of a wider drive whose other
+            // columns the DACs must never read.
+            let mut wide = Matrix::filled(bsz, cols + 5, f64::NAN);
             for (b, x) in xs.iter().enumerate() {
-                m.row_mut(b).copy_from_slice(x);
+                wide.row_mut(b)[3..3 + cols].copy_from_slice(x);
             }
             let via_vecs = g.mvm_batch(op, &xs).unwrap();
             let via_rows = g.mvm_batch_rows(op, &m).unwrap();
             let serial =
                 gramc_linalg::parallel::with_thread_cap(1, || g.mvm_batch_rows(op, &m)).unwrap();
+            let windowed = g.mvm_batch_cols(op, &wide, 3..3 + cols).unwrap();
             for (b, y) in via_vecs.iter().enumerate() {
                 for (j, v) in y.iter().enumerate() {
                     assert_eq!(v.to_bits(), via_rows[(b, j)].to_bits());
                     assert_eq!(v.to_bits(), serial[(b, j)].to_bits());
+                    assert_eq!(v.to_bits(), windowed[(b, j)].to_bits());
                 }
             }
         }
@@ -1637,6 +1678,24 @@ mod tests {
         let diff = g.load_matrix(&a).unwrap();
         assert_eq!(g.operator_info(diff).unwrap().planes, 2);
         check(&mut g, diff, &mut rng, 70);
+    }
+
+    #[test]
+    fn mvm_batch_cols_checks_its_window() {
+        let mut g = ideal_group(2, 4, 94);
+        let op = g.load_matrix(&Matrix::identity(3)).unwrap();
+        let xs = Matrix::filled(2, 5, 0.5);
+        assert!(matches!(
+            g.mvm_batch_cols(op, &xs, 1..3),
+            Err(CoreError::ShapeMismatch { expected: 3, found: 2 })
+        ));
+        assert!(matches!(
+            g.mvm_batch_cols(op, &xs, 3..6),
+            Err(CoreError::ShapeMismatch { expected: 6, found: 5 })
+        ));
+        assert_eq!(g.mvm_batch_cols(op, &xs, 2..5).unwrap().shape(), (2, 3));
+        g.free_operator(op).unwrap();
+        assert!(matches!(g.mvm_batch_cols(op, &xs, 2..5), Err(CoreError::InvalidOperator)));
     }
 
     #[test]

@@ -153,19 +153,15 @@ impl TiledOperator {
                 return Err(CoreError::ShapeMismatch { expected: self.cols, found: x.len() });
             }
         }
-        let mut v = Matrix::zeros(xs.len(), self.cols);
-        for (b, x) in xs.iter().enumerate() {
-            v.row_mut(b).copy_from_slice(x);
-        }
-        let out = self.mvm_batch_rows(group, &v)?;
-        Ok((0..out.rows()).map(|b| out.row(b).to_vec()).collect())
+        Ok(self.mvm_batch_rows(group, &Matrix::from_row_vecs(self.cols, xs))?.to_row_vecs())
     }
 
     /// [`mvm_batch`](Self::mvm_batch) on matrix batches (row `b` in, row `b`
     /// out — the layout [`MacroGroup::mvm_batch_rows`] consumes directly).
-    /// Per tile, one column-slice matrix feeds one analog batch drive; the
+    /// Each tile's DACs read its column window of `xs` in place
+    /// ([`MacroGroup::mvm_batch_cols`]), one analog batch drive per tile; the
     /// streaming `gramc-nn` pipeline calls this with whole-dataset drive
-    /// matrices so nothing is allocated per image.
+    /// matrices so nothing is allocated or copied per image.
     ///
     /// # Errors
     ///
@@ -184,8 +180,7 @@ impl TiledOperator {
                 let id = self.tiles[ri][ci];
                 let info = group.operator_info(id)?;
                 let (tr, tc) = (info.rows, info.cols);
-                let slice = xs.block(0, c0, bsz, tc);
-                let partials = group.mvm_batch_rows(id, &slice)?;
+                let partials = group.mvm_batch_cols(id, xs, c0..c0 + tc)?;
                 for b in 0..bsz {
                     let y = &mut ys.row_mut(b)[r0..r0 + tr];
                     for (yk, &p) in y.iter_mut().zip(&partials.row(b)[..tr]) {

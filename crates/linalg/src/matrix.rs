@@ -81,6 +81,29 @@ impl Matrix {
         Self { rows: r, cols: c, data }
     }
 
+    /// Stacks owned row vectors, each `cols` long, into a `rows.len() × cols`
+    /// matrix — the batch layout of the analog MVM paths. Unlike
+    /// [`from_rows`](Self::from_rows) the width is explicit, so an empty
+    /// batch keeps its column count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a row's length differs from `cols`.
+    pub fn from_row_vecs(cols: usize, rows: &[Vec<f64>]) -> Self {
+        let mut data = Vec::with_capacity(rows.len() * cols);
+        for row in rows {
+            assert_eq!(row.len(), cols, "ragged rows in Matrix::from_row_vecs");
+            data.extend_from_slice(row);
+        }
+        Self { rows: rows.len(), cols, data }
+    }
+
+    /// The rows as owned vectors (the inverse of
+    /// [`from_row_vecs`](Self::from_row_vecs)).
+    pub fn to_row_vecs(&self) -> Vec<Vec<f64>> {
+        (0..self.rows).map(|i| self.row(i).to_vec()).collect()
+    }
+
     /// Creates a diagonal matrix from the given diagonal entries.
     pub fn from_diag(diag: &[f64]) -> Self {
         let n = diag.len();

@@ -13,6 +13,8 @@
 //! system executes a network whose INT8 mapping would not fit resident.
 //! Biases are added digitally (the crossbar computes the pure product).
 
+use std::sync::Arc;
+
 use gramc_core::functional::argmax;
 use gramc_core::tiling::{TileMapping, TiledOperator};
 use gramc_core::{CoreError, MacroConfig, MacroGroup};
@@ -28,15 +30,16 @@ use crate::tensor::Tensor3;
 /// ([`Matrix::reset_zeroed`]), so after the first call at a given batch
 /// size the whole forward pass performs **zero per-image heap
 /// allocation** — drive assembly, bias/ReLU/pooling fusion and im2col all
-/// write into memory owned here.
+/// write into memory owned here. The drives are reference-counted so the
+/// sharded backend can hand them to its tile jobs without copying them.
 #[derive(Debug, Default)]
 pub struct LenetScratch {
     /// conv1 drive: one 25-wide patch row per output position per image.
-    d1: Matrix,
+    d1: Arc<Matrix>,
     /// conv2 drive: one 150-wide patch row per output position per image.
-    d2: Matrix,
+    d2: Arc<Matrix>,
     /// fc1 drive: one flattened 256-wide activation row per image.
-    fc_in: Matrix,
+    fc_in: Arc<Matrix>,
     /// One image's pooled feature map (channel-major), reused per image.
     fmap: Vec<f64>,
 }
@@ -223,6 +226,18 @@ pub(crate) fn lenet_forward<E>(
     fc(&model.fc3.weights, &model.fc3.bias, a2, false)
 }
 
+/// A drive buffer resized (zeroed, grow-only) for writing. A buffer a job
+/// still shares is replaced rather than waited for: a serving worker may
+/// drop its reference a moment after the result it delivered was read.
+fn drive_mut(buf: &mut Arc<Matrix>, rows: usize, cols: usize) -> &mut Matrix {
+    if Arc::get_mut(buf).is_none() {
+        *buf = Arc::default();
+    }
+    let drive = Arc::get_mut(buf).expect("unshared after the check above");
+    drive.reset_zeroed(rows, cols);
+    drive
+}
+
 /// The fused streaming LeNet-5 forward shared by both backends: per layer,
 /// `run_layer` receives the weight matrix and **one** drive matrix covering
 /// every image (row per analog input vector) and returns the raw products.
@@ -238,39 +253,39 @@ pub(crate) fn lenet_forward_stream<E>(
     model: &LeNet5,
     images: &[Tensor3],
     scratch: &mut LenetScratch,
-    mut run_layer: impl FnMut(&Matrix, &Matrix) -> Result<Matrix, E>,
+    mut run_layer: impl FnMut(&Matrix, &Arc<Matrix>) -> Result<Matrix, E>,
 ) -> Result<Matrix, E> {
     let n = images.len();
     if n == 0 {
         return Ok(Matrix::zeros(0, model.fc3.weights.rows()));
     }
     // conv1: 28×28 inputs, 5×5 kernel → 24×24 = 576 positions per image.
-    scratch.d1.reset_zeroed(n * 576, 25);
+    let d1 = drive_mut(&mut scratch.d1, n * 576, 25);
     for (i, img) in images.iter().enumerate() {
-        im2col_rows_into(img.as_slice(), 1, 28, 28, 5, &mut scratch.d1, i * 576);
+        im2col_rows_into(img.as_slice(), 1, 28, 28, 5, d1, i * 576);
     }
     let out1 = run_layer(&model.conv1.weights, &scratch.d1)?;
     // Fused bias + ReLU + pool from the product rows into a (6,12,12)
     // pooled map, then im2col into the conv2 drive (8×8 = 64 positions).
-    scratch.d2.reset_zeroed(n * 64, 150);
+    let d2 = drive_mut(&mut scratch.d2, n * 64, 150);
     scratch.fmap.clear();
     scratch.fmap.resize(6 * 12 * 12, 0.0);
     for i in 0..n {
         pool_rows_into_fmap(&out1, i * 576, 24, &model.conv1.bias, &mut scratch.fmap);
-        im2col_rows_into(&scratch.fmap, 6, 12, 12, 5, &mut scratch.d2, i * 64);
+        im2col_rows_into(&scratch.fmap, 6, 12, 12, 5, d2, i * 64);
     }
     let out2 = run_layer(&model.conv2.weights, &scratch.d2)?;
     // conv2 products pool to (16,4,4) = 256 features, one fc drive row per
     // image.
-    scratch.fc_in.reset_zeroed(n, 256);
+    let fc_in = drive_mut(&mut scratch.fc_in, n, 256);
     for i in 0..n {
-        pool_rows_into_fmap(&out2, i * 64, 8, &model.conv2.bias, scratch.fc_in.row_mut(i));
+        pool_rows_into_fmap(&out2, i * 64, 8, &model.conv2.bias, fc_in.row_mut(i));
     }
     let mut a1 = run_layer(&model.fc1.weights, &scratch.fc_in)?;
     bias_relu_rows(&mut a1, &model.fc1.bias, true);
-    let mut a2 = run_layer(&model.fc2.weights, &a1)?;
+    let mut a2 = run_layer(&model.fc2.weights, &Arc::new(a1))?;
     bias_relu_rows(&mut a2, &model.fc2.bias, true);
-    let mut logits = run_layer(&model.fc3.weights, &a2)?;
+    let mut logits = run_layer(&model.fc3.weights, &Arc::new(a2))?;
     bias_relu_rows(&mut logits, &model.fc3.bias, false);
     Ok(logits)
 }

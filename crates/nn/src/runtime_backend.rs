@@ -102,7 +102,8 @@ impl RuntimeLenet {
 
     /// Streams a whole dataset through the sharded pipeline: per layer one
     /// tile load, one batched drive covering every image (the tiles'
-    /// partial products run across the shards), one free. Row `i` of the
+    /// partial products run across the shards, each tile's job sharing the
+    /// one drive matrix), one free. Row `i` of the
     /// result holds image `i`'s logits. See
     /// [`GramcLenet::logits_matrix`](crate::GramcLenet::logits_matrix) for
     /// the noise-draw semantics.

@@ -12,7 +12,7 @@ use std::cell::Cell;
 
 use gramc_core::{MacroConfig, NonidealityConfig};
 use gramc_linalg::random::seeded_rng;
-use gramc_nn::{GramcLenet, LeNet5, Precision, Tensor3};
+use gramc_nn::{GramcLenet, LeNet5, Precision, RuntimeLenet, Tensor3};
 
 struct CountingAlloc;
 
@@ -99,6 +99,40 @@ fn streamed_allocation_count_does_not_scale_with_batch_size() {
     assert!(c4 > 0, "sanity: the pipeline does allocate per call");
     // Twice the images may not cost more allocations (small slack covers
     // amortized growth of long-lived registries).
+    assert!(
+        c8 <= c4 + 16,
+        "allocation count scales with batch size: {c4} allocs for 4 images, {c8} for 8"
+    );
+}
+
+/// The sharded pipeline keeps the same discipline on the calling thread:
+/// every tile job shares the layer's drive matrix and returns its partial
+/// products as one matrix, so nothing is copied out per drive row on
+/// either side of the shard boundary. (The job bodies run on the
+/// runtime's scoped workers; this counts what the caller pays.)
+#[test]
+fn sharded_streamed_allocation_count_does_not_scale_with_batch_size() {
+    let config =
+        MacroConfig { nonideal: NonidealityConfig::quantization_only(4), ..MacroConfig::default() };
+    let model = LeNet5::new(&mut seeded_rng(7));
+    let mut backend = RuntimeLenet::new(model, Precision::Int4, config, 2, 8, 11).unwrap();
+    let images = random_images(8, 13);
+
+    backend.logits_matrix(&images).unwrap();
+    backend.logits_matrix(&images[..4]).unwrap();
+
+    let ((), c4) = counted(|| {
+        gramc_linalg::parallel::with_thread_cap(1, || {
+            backend.logits_matrix(&images[..4]).unwrap();
+        })
+    });
+    let ((), c8) = counted(|| {
+        gramc_linalg::parallel::with_thread_cap(1, || {
+            backend.logits_matrix(&images).unwrap();
+        })
+    });
+
+    assert!(c4 > 0, "sanity: the pipeline does allocate per call");
     assert!(
         c8 <= c4 + 16,
         "allocation count scales with batch size: {c4} allocs for 4 images, {c8} for 8"

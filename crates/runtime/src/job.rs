@@ -1,5 +1,6 @@
 //! Jobs, result slots and the handles callers wait on.
 
+use std::ops::Range;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -19,6 +20,10 @@ pub enum JobOutput {
     Vector(Vec<f64>),
     /// One result per input vector (explicit batch jobs).
     Vectors(Vec<Vec<f64>>),
+    /// One result row per drive row of a [`Work::MvmRows`] request. The
+    /// matrix is shared, not copied: waiting on the handle clones the
+    /// `Arc`.
+    Rows(Arc<Matrix>),
     /// The operator placed by a `Load` job.
     Loaded(OperatorHandle),
     /// Acknowledgement of a `Free` job.
@@ -126,7 +131,7 @@ impl JobHandle {
     }
 
     /// Blocks until the job has retired and returns its batch of result
-    /// vectors.
+    /// vectors (a [`JobOutput::Rows`] matrix is split into its rows).
     ///
     /// # Errors
     ///
@@ -135,6 +140,22 @@ impl JobHandle {
     pub fn wait_vectors(&self) -> Result<Vec<Vec<f64>>, RuntimeError> {
         match self.wait()? {
             JobOutput::Vectors(v) => Ok(v),
+            JobOutput::Rows(m) => Ok(m.to_row_vecs()),
+            _ => Err(RuntimeError::WrongOutput),
+        }
+    }
+
+    /// Blocks until a [`Work::MvmRows`] job has retired and returns its
+    /// result matrix (row `b` answers drive row `b`), shared rather than
+    /// copied.
+    ///
+    /// # Errors
+    ///
+    /// The job's own error, or [`RuntimeError::WrongOutput`] if the job
+    /// does not produce a matrix.
+    pub fn wait_rows(&self) -> Result<Arc<Matrix>, RuntimeError> {
+        match self.wait()? {
+            JobOutput::Rows(m) => Ok(m),
             _ => Err(RuntimeError::WrongOutput),
         }
     }
@@ -170,8 +191,21 @@ pub enum Work {
     /// `mvm_batch` dispatch.
     Mvm(Vec<f64>),
     /// An explicit MVM batch: one dispatch, one handle, answered as
-    /// [`JobOutput::Vectors`]. Bypasses coalescing.
+    /// [`JobOutput::Vectors`]. Bypasses coalescing. The vectors are stacked
+    /// into one drive matrix at submission and run as a matrix batch.
     MvmBatch(Vec<Vec<f64>>),
+    /// A matrix MVM batch: row `b` of `drive`, read through the column
+    /// window `cols` (as wide as the operator), is input vector `b`. One
+    /// dispatch, one handle, answered as [`JobOutput::Rows`]. The drive is
+    /// shared with the job, never copied — the operator's DACs read the
+    /// window in place — so several tiles of one logical operator can run
+    /// off the same drive. Bypasses coalescing.
+    MvmRows {
+        /// The batch, one input vector per row.
+        drive: Arc<Matrix>,
+        /// The columns of `drive` the operator reads.
+        cols: Range<usize>,
+    },
     /// One INV right-hand side (`len == rows`), answered as
     /// [`JobOutput::Vector`].
     SolveInv(Vec<f64>),
@@ -189,29 +223,90 @@ impl Work {
         match self {
             Self::Mvm(_) => ComputeKind::MvmSet,
             Self::MvmBatch(_) => ComputeKind::MvmBatch,
+            Self::MvmRows { .. } => ComputeKind::MvmRows,
             Self::SolveInv(_) => ComputeKind::SolveInv,
             Self::SolveInvBatch(_) => ComputeKind::SolveInvBatch,
             Self::SolvePinvBatch(_) => ComputeKind::SolvePinvBatch,
         }
     }
 
-    /// The request's input vectors, borrowed (no allocation for the
-    /// single-vector variants).
-    pub(crate) fn inputs(&self) -> &[Vec<f64>] {
+    /// The request's row weight in cost attribution: its number of input
+    /// vectors (at least 1).
+    pub(crate) fn weight(&self) -> u64 {
+        let n = match self {
+            Self::Mvm(_) | Self::SolveInv(_) => 1,
+            Self::MvmBatch(xs) | Self::SolveInvBatch(xs) | Self::SolvePinvBatch(xs) => xs.len(),
+            Self::MvmRows { drive, .. } => drive.rows(),
+        };
+        n.max(1) as u64
+    }
+
+    /// Checks every input against the operator's input length `expected`
+    /// (`cols` for MVM, `rows` for INV/PINV) and for finiteness — an analog
+    /// driver cannot encode `NaN`/`±inf`. A matrix request's window must be
+    /// `expected` wide and lie inside its drive.
+    pub(crate) fn validate(&self, expected: usize) -> Result<(), RuntimeError> {
+        let check = |x: &[f64]| {
+            if x.len() != expected {
+                return Err(CoreError::ShapeMismatch { expected, found: x.len() }.into());
+            }
+            if !x.iter().all(|v| v.is_finite()) {
+                return Err(RuntimeError::NonFiniteInput);
+            }
+            Ok(())
+        };
         match self {
-            Self::Mvm(x) | Self::SolveInv(x) => std::slice::from_ref(x),
-            Self::MvmBatch(xs) | Self::SolveInvBatch(xs) | Self::SolvePinvBatch(xs) => xs,
+            Self::Mvm(x) | Self::SolveInv(x) => check(x),
+            Self::MvmBatch(xs) | Self::SolveInvBatch(xs) | Self::SolvePinvBatch(xs) => {
+                xs.iter().try_for_each(|x| check(x))
+            }
+            Self::MvmRows { drive, cols } => {
+                if cols.len() != expected {
+                    return Err(CoreError::ShapeMismatch { expected, found: cols.len() }.into());
+                }
+                if cols.end > drive.cols() {
+                    let (expected, found) = (cols.end, drive.cols());
+                    return Err(CoreError::ShapeMismatch { expected, found }.into());
+                }
+                (0..drive.rows()).try_for_each(|b| check(&drive.row(b)[cols.clone()]))
+            }
         }
     }
 
-    /// The queued form of the request.
-    pub(crate) fn into_compute(self, handle: OperatorHandle) -> Compute {
+    /// The queued form of a validated request; vector inputs, each `width`
+    /// long, are stacked into the job's drive matrix.
+    pub(crate) fn into_compute(self, handle: OperatorHandle, width: usize) -> Compute {
         let kind = self.kind();
         let inputs = match self {
-            Self::Mvm(x) | Self::SolveInv(x) => vec![x],
-            Self::MvmBatch(xs) | Self::SolveInvBatch(xs) | Self::SolvePinvBatch(xs) => xs,
+            Self::Mvm(x) | Self::SolveInv(x) => Drive::stack(width, &[x]),
+            Self::MvmBatch(xs) | Self::SolveInvBatch(xs) | Self::SolvePinvBatch(xs) => {
+                Drive::stack(width, &xs)
+            }
+            Self::MvmRows { drive, cols } => Drive { matrix: drive, cols },
         };
         Compute { handle, kind, inputs }
+    }
+}
+
+/// The inputs of a queued compute job: row `k` of `matrix`, read through
+/// the column window `cols`, is input `k`. Every compute kind carries its
+/// inputs this way — the MVM kinds hand the matrix to the macro's DACs
+/// as is.
+#[derive(Debug)]
+pub(crate) struct Drive {
+    pub matrix: Arc<Matrix>,
+    pub cols: Range<usize>,
+}
+
+impl Drive {
+    /// Stacks input vectors, each `width` long, into a drive.
+    pub(crate) fn stack(width: usize, xs: &[Vec<f64>]) -> Self {
+        Self { matrix: Arc::new(Matrix::from_row_vecs(width, xs)), cols: 0..width }
+    }
+
+    /// The inputs in order.
+    pub(crate) fn inputs(&self) -> impl Iterator<Item = &[f64]> {
+        (0..self.matrix.rows()).map(|k| &self.matrix.row(k)[self.cols.clone()])
     }
 }
 
@@ -233,36 +328,43 @@ impl Op {
         }
     }
 
-    /// The analog batch call on the operator's macro group.
+    /// The analog batch call on the operator's macro group; row `k` of the
+    /// result answers input `k`. An MVM drives the job's matrix through its
+    /// column window directly; a solve hands its right-hand sides to the
+    /// multi-RHS solver.
     pub(crate) fn analog(
         self,
         group: &mut MacroGroup,
         id: OperatorId,
-        inputs: &[Vec<f64>],
-    ) -> Result<Vec<Vec<f64>>, CoreError> {
-        match self {
-            Self::Mvm => group.mvm_batch(id, inputs),
-            Self::Inv => group.solve_inv_batch(id, inputs),
-            Self::Pinv => group.solve_pinv_batch(id, inputs),
-        }
+        inputs: &Drive,
+    ) -> Result<Matrix, CoreError> {
+        let solve = match self {
+            Self::Mvm => return group.mvm_batch_cols(id, &inputs.matrix, inputs.cols.clone()),
+            Self::Inv => MacroGroup::solve_inv_batch,
+            Self::Pinv => MacroGroup::solve_pinv_batch,
+        };
+        let bs: Vec<Vec<f64>> = inputs.inputs().map(<[f64]>::to_vec).collect();
+        let xs = solve(group, id, &bs)?;
+        Ok(Matrix::from_row_vecs(xs.first().map_or(0, Vec::len), &xs))
     }
 
     /// The digital fallback on the registry's kept matrix; the first
     /// failing input fails the batch.
-    pub(crate) fn digital(
-        self,
-        a: &Matrix,
-        inputs: &[Vec<f64>],
-    ) -> Result<Vec<Vec<f64>>, RuntimeError> {
-        inputs
-            .iter()
+    pub(crate) fn digital(self, a: &Matrix, inputs: &Drive) -> Result<Matrix, RuntimeError> {
+        let ys = inputs
+            .inputs()
             .map(|x| match self {
                 Self::Mvm => Ok(a.matvec(x)),
                 Self::Inv => lu::solve(a, x),
                 Self::Pinv => qr::least_squares(a, x),
             })
-            .collect::<Result<_, _>>()
-            .map_err(|e| RuntimeError::from(CoreError::from(e)))
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(|e| RuntimeError::from(CoreError::from(e)))?;
+        let width = match self {
+            Self::Mvm => a.rows(),
+            Self::Inv | Self::Pinv => a.cols(),
+        };
+        Ok(Matrix::from_row_vecs(width, &ys))
     }
 
     /// Whether one analog result sits within `tol` of the quantized
@@ -280,44 +382,65 @@ impl Op {
     }
 }
 
-/// A queued compute request kind. The discriminants are the kinds'
-/// indices in the telemetry name table (`0` is the coalesced dispatch).
+/// A queued compute request kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum ComputeKind {
     /// A drained coalesced batch: one result slot per request.
-    MvmSet = 1,
-    MvmBatch = 2,
-    SolveInv = 3,
-    SolveInvBatch = 4,
-    SolvePinvBatch = 5,
+    MvmSet,
+    MvmBatch,
+    MvmRows,
+    SolveInv,
+    SolveInvBatch,
+    SolvePinvBatch,
 }
 
 impl ComputeKind {
     pub(crate) fn op(self) -> Op {
         match self {
-            Self::MvmSet | Self::MvmBatch => Op::Mvm,
+            Self::MvmSet | Self::MvmBatch | Self::MvmRows => Op::Mvm,
             Self::SolveInv | Self::SolveInvBatch => Op::Inv,
             Self::SolvePinvBatch => Op::Pinv,
         }
     }
 
-    /// Fills the job's slots with its results: one
-    /// [`JobOutput::Vector`] per slot for the per-input kinds (a coalesced
-    /// set, a single solve), one [`JobOutput::Vectors`] in the batch's
-    /// only slot otherwise. An error fails every slot.
-    pub(crate) fn deliver(self, slots: &[Arc<Slot>], results: Result<Vec<Vec<f64>>, RuntimeError>) {
-        match results {
+    /// The kind's index in the telemetry name table (`0` is the coalesced
+    /// dispatch). A matrix batch is an MVM batch there: both report as
+    /// `mvm_batch`.
+    pub(crate) fn label(self) -> usize {
+        match self {
+            Self::MvmSet => 1,
+            Self::MvmBatch | Self::MvmRows => 2,
+            Self::SolveInv => 3,
+            Self::SolveInvBatch => 4,
+            Self::SolvePinvBatch => 5,
+        }
+    }
+
+    /// Fills the job's slots with its results (row `k` answers input `k`):
+    /// one [`JobOutput::Vector`] per slot for the per-input kinds (a
+    /// coalesced set, a single solve), the whole matrix as
+    /// [`JobOutput::Rows`] for a matrix batch, one [`JobOutput::Vectors`]
+    /// in the batch's only slot otherwise. An error fails every slot.
+    pub(crate) fn deliver(self, slots: &[Arc<Slot>], results: Result<Matrix, RuntimeError>) {
+        let ys = match results {
+            Ok(ys) => ys,
             Err(e) => {
                 for slot in slots {
                     slot.fill(Err(e.clone()));
                 }
+                return;
             }
-            Ok(ys) if matches!(self, Self::MvmSet | Self::SolveInv) => {
-                for (slot, y) in slots.iter().zip(ys) {
-                    slot.fill(Ok(JobOutput::Vector(y)));
+        };
+        match self {
+            Self::MvmSet | Self::SolveInv => {
+                for (k, slot) in slots.iter().enumerate().take(ys.rows()) {
+                    slot.fill(Ok(JobOutput::Vector(ys.row(k).to_vec())));
                 }
             }
-            Ok(ys) => slots[0].fill(Ok(JobOutput::Vectors(ys))),
+            Self::MvmRows => slots[0].fill(Ok(JobOutput::Rows(Arc::new(ys)))),
+            Self::MvmBatch | Self::SolveInvBatch | Self::SolvePinvBatch => {
+                slots[0].fill(Ok(JobOutput::Vectors(ys.to_row_vecs())));
+            }
         }
     }
 }
@@ -328,7 +451,7 @@ impl ComputeKind {
 pub(crate) struct Compute {
     pub handle: OperatorHandle,
     pub kind: ComputeKind,
-    pub inputs: Vec<Vec<f64>>,
+    pub inputs: Drive,
 }
 
 /// What a job does once a worker runs it on its shard.

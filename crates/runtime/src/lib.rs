@@ -37,8 +37,8 @@
 //!
 //! ## Job lifecycle
 //!
-//! 1. **Submit.** A compute request is a [`Work`] (MVM, MVM batch, INV,
-//!    INV batch or PINV batch) sent through [`Runtime::submit_for`], or
+//! 1. **Submit.** A compute request is a [`Work`] (MVM, MVM batch, matrix
+//!    MVM batch, INV, INV batch or PINV batch) sent through [`Runtime::submit_for`], or
 //!    its default-tenant sugar `submit_mvm`, `submit_solve_inv`, …; one
 //!    operation table gives every kind its analog call, digital fallback
 //!    and residual check. [`Runtime::submit_mvm`] appends the request to
@@ -63,6 +63,34 @@
 //!    the worker moves on, so workers never block holding work.
 //! 4. **Wait.** [`JobHandle::wait`] returns the job's
 //!    [`JobOutput`] (or the job's error) once it has retired.
+//!
+//! ## Matrix batches
+//!
+//! Inside the runtime every compute job carries its inputs as one drive
+//! matrix: row `k`, read through a column window, is input `k`. The vector
+//! APIs are edge wrappers: [`Work::MvmBatch`] and the solve batches stack
+//! their vectors into the drive at submission, a coalesced MVM set stacks
+//! its riders' vectors when it dispatches, and results go back to vectors
+//! ([`JobOutput::Vector`], [`JobOutput::Vectors`],
+//! [`JobHandle::wait_vectors`]) only when the slots are filled.
+//!
+//! [`Work::MvmRows`] (sugar: [`Runtime::submit_mvm_rows`]) skips both
+//! conversions. The caller passes an `Arc<Matrix>` drive and the column
+//! window `cols` that the operator reads. The job shares the matrix rather
+//! than copying it, and the operator's DACs read the window in place
+//! ([`MacroGroup::mvm_batch_cols`](gramc_core::MacroGroup::mvm_batch_cols)),
+//! so the tiles of one logical operator all run off the same drive. This
+//! is how [`ShardedTiledOperator::mvm_batch_rows`] and the streaming
+//! `gramc-nn` pipeline drive whole-dataset batches: one `Arc` per tile per
+//! layer crosses the shard boundary, never a vector per row. The result is
+//! [`JobOutput::Rows`], one row per drive row. [`JobHandle::wait_rows`]
+//! returns it as a shared `Arc<Matrix>`, so waiting copies nothing.
+//! Submission checks the window's width and bounds
+//! ([`CoreError::ShapeMismatch`](gramc_core::CoreError)) and the
+//! finiteness of every element it covers
+//! ([`RuntimeError::NonFiniteInput`]). A quarantined or degraded operator
+//! answers the request from its kept matrix, row by row, like every other
+//! kind. In telemetry, a matrix batch counts as `mvm_batch`.
 //!
 //! ## Placement policies
 //!

@@ -89,8 +89,9 @@ struct Entry {
     /// batch.
     cols: usize,
     /// The operator's matrix, kept for migration re-programming and the
-    /// digital fallback path.
-    matrix: Arc<Matrix>,
+    /// digital fallback path while the entry is alive; released when it
+    /// goes `Dead`, where only the tombstone (shape and state) remains.
+    matrix: Option<Arc<Matrix>>,
     mapping: TileMapping,
     state: EntryState,
 }
@@ -151,6 +152,7 @@ impl Registry {
         };
         self.live_per_shard[shard] += 1;
         let handle = OperatorHandle(self.entries.len());
+        let matrix = Some(matrix);
         self.entries.push(Entry { shard, rows, cols, matrix, mapping, state: EntryState::Pending });
         Ok((handle, shard))
     }
@@ -189,6 +191,7 @@ impl Registry {
     pub(crate) fn abandon(&mut self, handle: OperatorHandle) {
         let (shard, state) = {
             let entry = self.entry_mut(handle).expect("abandoning an allocated entry");
+            entry.matrix = None;
             (entry.shard, std::mem::replace(&mut entry.state, EntryState::Dead))
         };
         if state != EntryState::Dead {
@@ -231,7 +234,7 @@ impl Registry {
                 Ok(ExecTarget::Analog { shard: entry.shard, id })
             }
             EntryState::LiveDigital | EntryState::FreeQueuedDigital => {
-                Ok(ExecTarget::Digital(entry.matrix.clone()))
+                entry.matrix.clone().map(ExecTarget::Digital).ok_or(RuntimeError::InvalidHandle)
             }
             EntryState::Pending | EntryState::PendingFreeQueued | EntryState::Dead => {
                 Err(RuntimeError::InvalidHandle)
@@ -265,8 +268,9 @@ impl Registry {
     }
 
     /// Retires a free-queued entry when its free job executes on
-    /// `executing_shard`; tells the job what to release, or where to
-    /// re-enqueue itself if the operator migrated after the free enqueued.
+    /// `executing_shard` (dropping its kept matrix); tells the job what to
+    /// release, or where to re-enqueue itself if the operator migrated
+    /// after the free enqueued.
     pub(crate) fn retire_on(
         &mut self,
         handle: OperatorHandle,
@@ -274,18 +278,17 @@ impl Registry {
     ) -> Result<FreeTarget, RuntimeError> {
         let (shard, target) = {
             let entry = self.entry_mut(handle)?;
-            match entry.state {
+            let target = match entry.state {
                 EntryState::FreeQueued(id) if entry.shard == executing_shard => {
-                    entry.state = EntryState::Dead;
-                    (entry.shard, FreeTarget::Local(Some(id)))
+                    FreeTarget::Local(Some(id))
                 }
                 EntryState::FreeQueued(_) => return Ok(FreeTarget::Moved(entry.shard)),
-                EntryState::FreeQueuedDigital => {
-                    entry.state = EntryState::Dead;
-                    (entry.shard, FreeTarget::Local(None))
-                }
+                EntryState::FreeQueuedDigital => FreeTarget::Local(None),
                 _ => return Err(RuntimeError::InvalidHandle),
-            }
+            };
+            entry.state = EntryState::Dead;
+            entry.matrix = None;
+            (entry.shard, target)
         };
         self.live_per_shard[shard] = self.live_per_shard[shard].saturating_sub(1);
         Ok(target)
@@ -329,12 +332,14 @@ impl Registry {
     }
 
     /// The operator's matrix and mapping, for re-programming or digital
-    /// fallback.
+    /// fallback. A dead entry no longer has them.
     pub(crate) fn matrix_and_mapping(
         &self,
         handle: OperatorHandle,
     ) -> Result<(Arc<Matrix>, TileMapping), RuntimeError> {
-        self.entry(handle).map(|e| (e.matrix.clone(), e.mapping))
+        let entry = self.entry(handle)?;
+        let matrix = entry.matrix.clone().ok_or(RuntimeError::InvalidHandle)?;
+        Ok((matrix, entry.mapping))
     }
 
     /// The healthy shard with the fewest live operators — where migrating
@@ -383,5 +388,52 @@ impl Registry {
             }
             _ => None,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn placed(reg: &mut Registry, matrix: &Arc<Matrix>) -> (OperatorHandle, usize) {
+        let (rows, cols) = matrix.shape();
+        reg.place(Placement::Pinned(0), rows, cols, matrix.clone(), TileMapping::FourBit).unwrap()
+    }
+
+    /// Retiring a freed operator releases the registry's copy of its
+    /// matrix, while the tombstone keeps stale handles typed errors.
+    #[test]
+    fn retire_releases_the_kept_matrix() {
+        let mut reg = Registry::new(1);
+        let matrix = Arc::new(Matrix::identity(4));
+        let (handle, shard) = placed(&mut reg, &matrix);
+        let mut group = gramc_core::MacroGroup::new(2, gramc_core::MacroConfig::small_ideal(4), 0);
+        reg.fulfill(handle, group.load_matrix(&matrix).unwrap());
+        assert_eq!(Arc::strong_count(&matrix), 2, "a live entry keeps its matrix");
+        reg.queue_free(handle).unwrap();
+        assert!(matches!(reg.retire_on(handle, shard), Ok(FreeTarget::Local(Some(_)))));
+        assert_eq!(Arc::strong_count(&matrix), 1, "a retired entry must drop its matrix");
+        assert!(matches!(reg.submission_target(handle), Err(RuntimeError::InvalidHandle)));
+        assert!(matches!(reg.exec_target(handle), Err(RuntimeError::InvalidHandle)));
+        assert!(matches!(reg.matrix_and_mapping(handle), Err(RuntimeError::InvalidHandle)));
+        assert!(matches!(reg.queue_free(handle), Err(RuntimeError::DoubleFree)));
+        assert!(matches!(reg.retire_on(handle, shard), Err(RuntimeError::InvalidHandle)));
+        assert_eq!(reg.live_per_shard(), &[0]);
+    }
+
+    /// The digital-fallback and failed-load paths release it too.
+    #[test]
+    fn digital_retire_and_abandon_release_the_kept_matrix() {
+        let mut reg = Registry::new(1);
+        let matrix = Arc::new(Matrix::identity(3));
+        let (digital, shard) = placed(&mut reg, &matrix);
+        reg.fulfill_digital(digital);
+        assert!(matches!(reg.exec_target(digital), Ok(ExecTarget::Digital(_))));
+        reg.queue_free(digital).unwrap();
+        assert!(matches!(reg.retire_on(digital, shard), Ok(FreeTarget::Local(None))));
+        let (failed, _) = placed(&mut reg, &matrix);
+        reg.abandon(failed);
+        assert_eq!(Arc::strong_count(&matrix), 1);
+        assert!(matches!(reg.exec_target(failed), Err(RuntimeError::InvalidHandle)));
     }
 }

@@ -2,19 +2,20 @@
 //! and the submission front-end.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
 use gramc_core::tiling::TileMapping;
-use gramc_core::{CoreError, FaultConfig, MacroConfig, MacroGroup, ProbeReport};
+use gramc_core::{FaultConfig, MacroConfig, MacroGroup, ProbeReport};
 use gramc_linalg::Matrix;
 use gramc_telemetry::{FlowPhase, HwSnapshot, JournalEvent};
 
 use crate::error::RuntimeError;
 use crate::health::{HealthConfig, HealthEvent, ShardHealth};
 use crate::job::{
-    Compute, ComputeKind, Job, JobHandle, JobKind, JobOutput, Op, RequestMeta, Slot, Work,
+    Compute, ComputeKind, Drive, Job, JobHandle, JobKind, JobOutput, Op, RequestMeta, Slot, Work,
 };
 use crate::registry::{ExecTarget, FreeTarget, OperatorHandle, Placement, Registry};
 use crate::telemetry::{
@@ -540,9 +541,11 @@ impl Runtime {
     /// the request kinds.
     ///
     /// Every kind is validated here, before admission takes any state: the
-    /// handle, each input's length (`cols` for MVM, `rows` for INV/PINV)
-    /// and its finiteness — so one malformed request cannot take a queue
-    /// slot or poison the coalesced batch it would have joined.
+    /// handle, each input's length (`cols` for MVM, `rows` for INV/PINV;
+    /// a [`Work::MvmRows`] window's width and bounds) and its finiteness —
+    /// so one malformed request cannot take a queue slot or poison the
+    /// coalesced batch it would have joined. Vector inputs are then stacked
+    /// into the job's one drive matrix.
     ///
     /// A [`Work::Mvm`] request is **coalesced**: the first pending request
     /// against an operator opens a batch and enqueues its dispatch job (so
@@ -575,18 +578,10 @@ impl Runtime {
         let (shard, rows, cols) =
             self.registry.lock().expect("registry lock").submission_target(op)?;
         let expected = work.kind().op().input_len(rows, cols);
-        for x in work.inputs() {
-            if x.len() != expected {
-                return Err(CoreError::ShapeMismatch { expected, found: x.len() }.into());
-            }
-            // An analog driver cannot encode `NaN`/`±inf`.
-            if !x.iter().all(|v| v.is_finite()) {
-                return Err(RuntimeError::NonFiniteInput);
-            }
-        }
+        work.validate(expected)?;
         let Work::Mvm(x) = work else {
-            let weight = work.inputs().len().max(1) as u64;
-            let compute = work.into_compute(op);
+            let weight = work.weight();
+            let compute = work.into_compute(op, expected);
             let ((), jh) =
                 self.submit_job(tenant, weight, || Ok((shard, JobKind::Compute(compute), ())))?;
             return Ok(jh);
@@ -642,6 +637,23 @@ impl Runtime {
         xs: Vec<Vec<f64>>,
     ) -> Result<JobHandle, RuntimeError> {
         self.submit_for(TenantId::DEFAULT, op, Work::MvmBatch(xs))
+    }
+
+    /// Submits a matrix batch MVM ([`Work::MvmRows`]): the operator reads
+    /// columns `cols` of every row of `drive`, and
+    /// [`JobHandle::wait_rows`] returns one result row per drive row.
+    ///
+    /// # Errors
+    ///
+    /// As [`submit_for`](Self::submit_for); a window that is not as wide as
+    /// the operator, or reaches past `drive`, is a shape mismatch.
+    pub fn submit_mvm_rows(
+        &self,
+        op: OperatorHandle,
+        drive: Arc<Matrix>,
+        cols: Range<usize>,
+    ) -> Result<JobHandle, RuntimeError> {
+        self.submit_for(TenantId::DEFAULT, op, Work::MvmRows { drive, cols })
     }
 
     /// Submits a single-RHS INV solve.
@@ -1192,8 +1204,9 @@ impl Runtime {
             let Some(batch) = self.pending_mvm.lock().expect("pending lock").remove(&handle) else {
                 return Verdict::Done;
             };
-            job.kind =
-                JobKind::Compute(Compute { handle, kind: ComputeKind::MvmSet, inputs: batch.xs });
+            let width = batch.xs.first().map_or(0, Vec::len);
+            let inputs = Drive::stack(width, &batch.xs);
+            job.kind = JobKind::Compute(Compute { handle, kind: ComputeKind::MvmSet, inputs });
             job.slots = batch.slots;
             job.meta = batch.meta;
         }
@@ -1347,8 +1360,8 @@ impl Runtime {
         group: &MacroGroup,
         id: gramc_core::OperatorId,
         op: Op,
-        inputs: &[Vec<f64>],
-        outputs: &[Vec<f64>],
+        inputs: &Drive,
+        outputs: &Matrix,
     ) -> bool {
         let Some(tol) = self.health_cfg.residual_tolerance else {
             return true;
@@ -1356,7 +1369,10 @@ impl Runtime {
         let Ok(info) = group.operator_info(id) else {
             return true;
         };
-        inputs.iter().zip(outputs).all(|(x, y)| op.residual_ok(&info.quantized, x, y, tol))
+        inputs
+            .inputs()
+            .enumerate()
+            .all(|(k, x)| op.residual_ok(&info.quantized, x, outputs.row(k), tol))
     }
 
     fn push_event(&self, event: HealthEvent) {

@@ -45,7 +45,7 @@ kind_names!(
 pub(crate) fn kind_index(kind: &JobKind) -> usize {
     match kind {
         JobKind::MvmMany { .. } => 0,
-        JobKind::Compute(c) => c.kind as usize,
+        JobKind::Compute(c) => c.kind.label(),
         JobKind::Load { .. } => 6,
         JobKind::Free { .. } => 7,
     }
@@ -521,10 +521,12 @@ mod tests {
         use crate::job::Work;
         use crate::registry::OperatorHandle;
         let h = OperatorHandle(0);
-        let compute = |w: Work| kind_index(&JobKind::Compute(w.into_compute(h)));
+        let compute = |w: Work| kind_index(&JobKind::Compute(w.into_compute(h, 0)));
         assert_eq!(kind_index(&JobKind::MvmMany { handle: h }), 0);
         assert_eq!(compute(Work::Mvm(Vec::new())), 1);
         assert_eq!(compute(Work::MvmBatch(Vec::new())), 2);
+        let drive = std::sync::Arc::new(gramc_linalg::Matrix::zeros(0, 0));
+        assert_eq!(compute(Work::MvmRows { drive, cols: 0..0 }), 2, "reported as mvm_batch");
         assert_eq!(compute(Work::SolveInv(Vec::new())), 3);
         assert_eq!(compute(Work::SolveInvBatch(Vec::new())), 4);
         assert_eq!(compute(Work::SolvePinvBatch(Vec::new())), 5);

@@ -8,6 +8,8 @@
 //! [`tile_grid`](gramc_core::tiling::tile_grid), so they split a matrix
 //! identically.
 
+use std::sync::Arc;
+
 use gramc_core::tiling::{tile_grid, TileMapping};
 use gramc_core::CoreError;
 use gramc_linalg::Matrix;
@@ -94,7 +96,7 @@ impl ShardedTiledOperator {
         self.tiles.len()
     }
 
-    /// Sharded batched MVM: one `mvm_batch` job per tile is submitted, the
+    /// Sharded batched MVM: one matrix job per tile is submitted, the
     /// scheduler drains them across the shards (stealing as needed), and
     /// the partial products reduce digitally into the full result.
     ///
@@ -108,24 +110,22 @@ impl ShardedTiledOperator {
                 return Err(CoreError::ShapeMismatch { expected: self.cols, found: x.len() }.into());
             }
         }
-        let mut v = Matrix::zeros(xs.len(), self.cols);
-        for (b, x) in xs.iter().enumerate() {
-            v.row_mut(b).copy_from_slice(x);
-        }
-        let out = self.mvm_batch_rows(rt, &v)?;
-        Ok((0..out.rows()).map(|b| out.row(b).to_vec()).collect())
+        let drive = Arc::new(Matrix::from_row_vecs(self.cols, xs));
+        Ok(self.mvm_batch_rows(rt, &drive)?.to_row_vecs())
     }
 
     /// [`mvm_batch`](Self::mvm_batch) on matrix batches (row `b` in, row `b`
-    /// out). Per tile, one column-slice job crosses the shard boundary per
-    /// *batch* — the streaming `gramc-nn` pipeline submits whole-dataset
-    /// drive matrices through this, so job payload assembly is per tile per
-    /// layer, never per image.
+    /// out). Every tile's job ([`Work::MvmRows`](crate::Work::MvmRows))
+    /// shares the one `xs` by reference count, and the tile's DACs read its
+    /// column window in place, so the payload crossing the shard boundary
+    /// is one `Arc` per tile per batch — nothing is copied or allocated per
+    /// drive row. The streaming `gramc-nn` pipeline submits whole-dataset
+    /// drive matrices through this.
     ///
     /// # Errors
     ///
     /// See [`mvm_batch`](Self::mvm_batch).
-    pub fn mvm_batch_rows(&self, rt: &Runtime, xs: &Matrix) -> Result<Matrix, RuntimeError> {
+    pub fn mvm_batch_rows(&self, rt: &Runtime, xs: &Arc<Matrix>) -> Result<Matrix, RuntimeError> {
         if self.freed {
             return Err(RuntimeError::InvalidHandle);
         }
@@ -138,19 +138,15 @@ impl ShardedTiledOperator {
         }
         let mut jobs = Vec::with_capacity(self.tiles.len());
         for t in &self.tiles {
-            // Job payloads stay `Vec<Vec<f64>>` (the scheduler's wire
-            // format); one slice set per tile per batch.
-            let slices: Vec<Vec<f64>> =
-                (0..bsz).map(|b| xs.row(b)[t.c0..t.c0 + t.cols].to_vec()).collect();
-            jobs.push(rt.submit_mvm_batch(t.handle, slices)?);
+            jobs.push(rt.submit_mvm_rows(t.handle, xs.clone(), t.c0..t.c0 + t.cols)?);
         }
         rt.run_all();
         let mut ys = Matrix::zeros(bsz, self.rows);
         for (t, jh) in self.tiles.iter().zip(&jobs) {
-            let partials = jh.wait_vectors()?;
-            for (b, partial) in partials.iter().enumerate() {
+            let partials = jh.wait_rows()?;
+            for b in 0..bsz {
                 let y = &mut ys.row_mut(b)[t.r0..t.r0 + t.rows];
-                for (yk, &p) in y.iter_mut().zip(partial.iter().take(t.rows)) {
+                for (yk, &p) in y.iter_mut().zip(partials.row(b)) {
                     *yk += p;
                 }
             }
